@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,11 +29,7 @@ from .core import (
     tensor_from_json,
     tensor_to_json,
 )
-from .dominance import (
-    check_dominance_matrix,
-    check_dominance_tensor,
-    scaled_dominance_report,
-)
+from .dominance import check_dominance_tensor, scaled_dominance_report
 from .exact import permanent_ryser, permanent_tensor
 from .generators import (
     block_extremal_matrix,
@@ -44,7 +39,7 @@ from .generators import (
     random_hypergraph,
 )
 from .hypergraph import hypergraph_from_json, matching_stats, normalize_base_matching
-from .taylor import WORK_CAP, approx_log_permanent, zero_scan
+from .taylor import WORK_CAP, approx_log_permanent, minor_sum_work, zero_scan
 
 
 def _load_json(path: str):
@@ -67,24 +62,16 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _effective_lambda(arr) -> float:
-    if arr.ndim == 2:
-        return check_dominance_matrix(arr).effective_lambda
-    return check_dominance_tensor(arr).effective_lambda
-
-
 def _pick_lambda(arr, flag: float | None) -> float:
     """Configured dominance bound: the flag if given, else the measured one."""
     if flag is not None:
         return flag
-    measured = _effective_lambda(arr)
+    measured = check_dominance_tensor(arr).effective_lambda
     if measured >= 1.0:
         raise InadmissibleInputError(
             f"input is not admissible (effective lambda {measured:.6g} >= 1)"
         )
-    # a zero input measures 0, which the config cannot carry; any valid
-    # bound works since the measured value drives the approximation
-    return measured if measured > 0.0 else 0.5
+    return measured
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -157,11 +144,7 @@ def _cmd_dominance(args) -> dict:
         if arr.ndim != 2:
             raise ValueError("--scaled applies to matrices only")
         return scaled_dominance_report(arr).to_json()
-    if arr.ndim == 2:
-        report = check_dominance_matrix(arr)
-    else:
-        report = check_dominance_tensor(arr)
-    return report.to_json()
+    return check_dominance_tensor(arr).to_json()
 
 
 def _cmd_matching_stats(args) -> dict:
@@ -222,7 +205,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
-    """Measured scaling of the subset-enumeration stage over (n, m) pairs."""
+    """Measured scaling of the minor-sum engine over (n, m) pairs."""
     sizes = [int(s) for s in args.sizes.split(",")]
     orders = [int(s) for s in args.orders.split(",")]
     rng = np.random.default_rng(args.seed)
@@ -234,7 +217,7 @@ def _cmd_bench(args) -> dict:
             start = time.perf_counter()
             approx_log_permanent(arr, cfg, threads=args.threads, work_cap=args.work_cap)
             elapsed = time.perf_counter() - start
-            ops = sum(math.comb(n, k) * k * (1 << k) for k in range(m + 1))
+            ops = minor_sum_work(n, 2, m)
             rows.append({"n": n, "m": m, "subset_ops": ops, "seconds": elapsed})
             print(f"n={n:3d} m={m:2d}  {elapsed:8.3f}s  ({ops} ops)", file=sys.stderr)
     return {"rows": rows}
@@ -253,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="path to the instance JSON file")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (results are thread-count independent)")
+                       help="accepted for compatibility; output does not depend on it")
         p.add_argument("--work-cap", type=int, default=WORK_CAP, dest="work_cap",
                        help="enumeration budget before failing fast")
         p.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")

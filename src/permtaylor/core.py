@@ -43,7 +43,7 @@ class NormalizationError(ValueError):
 class ApproxConfig:
     """Approximation parameters.
 
-    lam            dominance bound in (0, 1); the input's measured row/slice
+    lam            dominance bound in [0, 1); the input's measured row/slice
                     sums must not exceed it
     epsilon        target additive error on the log, in (0, 1)
     order_override optional forced Taylor order (skips automatic selection)
@@ -54,8 +54,8 @@ class ApproxConfig:
     order_override: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
+        if not 0.0 <= self.lam < 1.0:
+            raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.order_override is not None and self.order_override < 0:

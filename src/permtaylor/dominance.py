@@ -148,13 +148,8 @@ def strip_diagonal(a) -> NormalizedProblem:
     zeroes the diagonal. The result stays admissible: the off-diagonal
     row mass is below 1 - |a_ii| <= |1 + a_ii|.
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = as_matrix(arr)
-        report_in = check_dominance_matrix(arr)
-    else:
-        arr = as_tensor(arr)
-        report_in = check_dominance_tensor(arr)
+    arr = as_tensor(a)
+    report_in = check_dominance_tensor(arr)
     if not report_in.admissible:
         raise InadmissibleInputError(
             f"input is not admissible (effective lambda {report_in.effective_lambda:.6g} >= 1)"
@@ -167,8 +162,4 @@ def strip_diagonal(a) -> NormalizedProblem:
     idx = tuple(np.arange(n) for _ in range(arr.ndim))
     out[idx] = 0.0
     log_prefactor = complex(np.sum(np.log(factors)))
-    if arr.ndim == 2:
-        report = check_dominance_matrix(out)
-    else:
-        report = check_dominance_tensor(out)
-    return NormalizedProblem(out, log_prefactor, report)
+    return NormalizedProblem(out, log_prefactor, check_dominance_tensor(out))

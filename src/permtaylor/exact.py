@@ -16,6 +16,7 @@ The permanent of the empty (0x0 or 0x...x0) array is 1 by convention.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Sequence
@@ -28,6 +29,8 @@ from .summation import ComplexNeumaier
 DEFINITIONAL_CAP = 10
 RYSER_CAP = 30
 TENSOR_PRODUCT_CAP = 10**8
+BRANCH_STEPS = 64
+BRANCH_HALVINGS = 30
 
 
 def check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
@@ -198,6 +201,65 @@ def permanent_tensor_slice_expansion(
 
     full = tuple(tuple(range(n)) for _ in range(d))
     return expand(full, axis, coord)
+
+
+def exact_log_permanent(
+    a, steps: int = BRANCH_STEPS, product_cap: int = TENSOR_PRODUCT_CAP
+) -> complex:
+    """Branch-tracked exact log-permanent, the test-side reference value.
+
+    Walks z through `steps` uniform increments on [0, 1], evaluating the
+    exact permanent of I + z A at each node and accumulating the
+    principal-branch log of consecutive ratios. This follows the
+    continuous branch anchored at ln per(I) = 0, which a single
+    principal-branch log of the endpoint may miss by multiples of 2 pi i.
+
+    A step whose ratio turns by more than pi/2 could hide a full turn, so
+    it is halved, up to BRANCH_HALVINGS times, until every piece turns by
+    at most pi/2; past that ArithmeticError is raised rather than risking
+    a silent wrap.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim == 2:
+        arr = as_matrix(arr)
+        rows = arr.tolist()
+        n = arr.shape[0]
+
+        def value_at(z: float) -> complex:
+            m = [[z * rows[i][j] + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+            return _ryser_core(m)
+
+    else:
+        arr = as_tensor(arr)
+        d, n = arr.ndim, arr.shape[0]
+        if math.factorial(n) ** (d - 1) > product_cap:
+            raise SizeCapError("tensor too large for branch tracking")
+
+        def value_at(z: float) -> complex:
+            scaled = z * arr
+            idx = tuple(np.arange(n) for _ in range(d))
+            scaled[idx] += 1.0
+            return _tensor_core(scaled.tolist(), n, d)
+
+    def log_step(z0: float, v0: complex, z1: float, v1: complex, halvings: int) -> complex:
+        if v1 == 0:
+            raise ArithmeticError(f"permanent vanishes at z = {z1}")
+        step = cmath.log(v1 / v0)
+        if abs(step.imag) <= math.pi / 2:
+            return step
+        if halvings == BRANCH_HALVINGS:
+            raise ArithmeticError(f"phase turns by more than pi/2 within [{z0}, {z1}]")
+        zm = (z0 + z1) / 2
+        vm = value_at(zm)
+        return log_step(z0, v0, zm, vm, halvings + 1) + log_step(zm, vm, z1, v1, halvings + 1)
+
+    total = complex(0.0)
+    prev = complex(1.0)
+    for t in range(1, steps + 1):
+        cur = value_at(t / steps)
+        total += log_step((t - 1) / steps, prev, t / steps, cur, 0)
+        prev = cur
+    return total
 
 
 def principal_submatrix(a, subset: Sequence[int]) -> np.ndarray:

@@ -83,6 +83,15 @@ class DPartiteHypergraph:
         return {"d": self.d, "n": self.n, "edges": [list(e) for e in self.edges]}
 
 
+def _edge_from_json(e) -> Edge:
+    """An edge read from JSON: a list of integer vertex labels, taken as is."""
+    if not isinstance(e, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in e
+    ):
+        raise ValueError(f"edge {e!r} must be a list of integer vertex labels")
+    return tuple(e)
+
+
 def hypergraph_from_json(obj) -> tuple[DPartiteHypergraph, list[Edge] | None]:
     """Parse {"d", "n", "edges", optional "m0"}; returns (graph, m0 or None)."""
     if not isinstance(obj, dict) or any(k not in obj for k in ("d", "n", "edges")):
@@ -92,11 +101,10 @@ def hypergraph_from_json(obj) -> tuple[DPartiteHypergraph, list[Edge] | None]:
         raise ValueError('"d" must be an integer >= 2')
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError('"n" must be a positive integer')
-    edges = [tuple(int(v) for v in e) for e in obj["edges"]]
-    h = DPartiteHypergraph(d, n, tuple(edges))
+    h = DPartiteHypergraph(d, n, tuple(_edge_from_json(e) for e in obj["edges"]))
     m0 = None
     if "m0" in obj and obj["m0"] is not None:
-        m0 = [tuple(int(v) for v in e) for e in obj["m0"]]
+        m0 = [_edge_from_json(e) for e in obj["m0"]]
     return h, m0
 
 
@@ -236,8 +244,7 @@ def matching_stats(
             f"lam = {lam} is too large: lam^2 (Delta - 1) = "
             f"{lam * lam * (delta - 1):.6g} must be below 1"
         )
-    lam_cfg = report.effective_lambda if 0.0 < report.effective_lambda < 1.0 else 0.5
-    cfg = ApproxConfig(lam=lam_cfg, epsilon=epsilon)
+    cfg = ApproxConfig(lam=report.effective_lambda, epsilon=epsilon)
     taylor = approx_log_permanent(t, cfg, threads=threads, work_cap=work_cap)
     return MatchingStatsResult(
         lam=lam,

@@ -1,19 +1,11 @@
-"""Compensated accumulation with a fixed reduction tree.
+"""Compensated accumulation.
 
 Neumaier's variant of Kahan summation keeps a running compensation term so
 that long alternating sums (Ryser, permutation sums) stay reproducible and
-accurate. Sums over large index sets are grouped into fixed-size chunks
-whose boundaries depend only on the number of items; chunk partials are
-folded in index order, so serial and thread-parallel runs produce
-bit-identical results.
+accurate.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-CHUNK = 2048
 
 
 class Neumaier:
@@ -54,32 +46,3 @@ class ComplexNeumaier:
 
     def value(self) -> complex:
         return complex(self.re.value(), self.im.value())
-
-
-def chunked_sum(fn: Callable, items: Sequence, threads: int = 1) -> complex:
-    """Compensated sum of fn(item) over items.
-
-    Chunk layout is a function of len(items) alone and the partials are
-    combined in chunk order, so the result does not depend on `threads`.
-    """
-    chunks = [items[i : i + CHUNK] for i in range(0, len(items), CHUNK)]
-
-    def partial(chunk):
-        acc = ComplexNeumaier()
-        for item in chunk:
-            acc.add(fn(item))
-        return acc.re.s, acc.re.c, acc.im.s, acc.im.c
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial, chunks))
-    else:
-        parts = [partial(chunk) for chunk in chunks]
-
-    total = ComplexNeumaier()
-    for sr, cr, si, ci in parts:
-        total.re.add(sr)
-        total.re.add(cr)
-        total.im.add(si)
-        total.im.add(ci)
-    return total.value()

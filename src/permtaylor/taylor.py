@@ -11,7 +11,8 @@ The derivatives of g at 0 are principal-minor sums,
 
     g^(k)(0) = k! sum_{|I| = k} per A_I,
 
-computed by subset enumeration, and the log-derivatives f^(k)(0) follow by
+computed by Ryser's inclusion-exclusion truncated at order k (see
+_minor_sums), and the log-derivatives f^(k)(0) follow by
 forward substitution through the triangular convolution that links a
 function with its logarithm. The identical scheme covers cubical tensors:
 PER(I + z A) also has degree at most n in z, so the same tail bound is
@@ -23,7 +24,6 @@ which is kept honest by explicit work caps instead of silent truncation.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,16 +35,16 @@ from .core import (
     InadmissibleInputError,
     NormalizationError,
     SizeCapError,
-    as_matrix,
     as_tensor,
     pair,
 )
-from .dominance import check_dominance_matrix, check_dominance_tensor
-from .exact import _ryser_core, _tensor_core
-from .summation import ComplexNeumaier, chunked_sum
+from .dominance import check_dominance_tensor
+from .summation import ComplexNeumaier
 
 WORK_CAP = 10**9
-BRANCH_STEPS = 64
+# tuples per engine chunk, and entries per chunk in its largest temporary
+CHUNK = 1024
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,78 +118,122 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
     return m
 
 
-def _matrix_budget(n: int, m: int) -> int:
-    return sum(math.comb(n, k) * k * (1 << k) for k in range(m + 1))
+def minor_sum_work(n: int, d: int, m: int) -> int:
+    """Work of the minor-sum engine for orders 0..m on a d-dimensional array.
+
+    The engine visits sum_{u <= m} C(n, u) (2^(d-1) - 1)^u (U, pattern)
+    tuples, and each costs one masked contraction of the n^d array plus
+    an O(n m) elementary symmetric recurrence.
+    """
+    p = (1 << (d - 1)) - 1
+    tuples = sum(math.comb(n, u) * p**u for u in range(m + 1))
+    return tuples * (n**d + n * m)
 
 
-def _tensor_budget(n: int, d: int, m: int) -> int:
-    return sum(math.comb(n, k) * math.factorial(k) ** (d - 1) * k for k in range(m + 1))
+def _tuple_chunks(n: int, p: int, u: int, size: int):
+    """Pattern matrices (n x C) covering every (U, pattern) tuple with |U| = u.
+
+    Entry [i, c] of a block is 0 when row i lies outside the co-subset U of
+    tuple c, and otherwise the non-empty bitmask (1..p) of the permutation
+    axes row i is removed from. Co-subsets run in lexicographic order and
+    patterns in base-p order within each; every block holds at most `size`
+    tuples, so the layout depends on (n, p, u, size) alone.
+    """
+    npat = p**u
+    per = max(1, size // npat)
+    weights = p ** np.arange(u - 1, -1, -1)
+    combos = itertools.combinations(range(n), u)
+    ncomb = math.comb(n, u)
+    for first in range(0, ncomb, per):
+        take = min(per, ncomb - first)
+        rows = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, take)),
+            dtype=np.intp,
+            count=take * u,
+        ).reshape(take, u)
+        for start in range(0, npat, size):
+            q = np.arange(start, min(npat, start + size))
+            vals = q[:, None] // weights % p + 1
+            pat = np.zeros((n, take * len(q)), dtype=np.intp)
+            cols = np.arange(pat.shape[1])[:, None]
+            pat[np.repeat(rows, len(q), axis=0), cols] = np.tile(vals, (take, 1))
+            yield pat
 
 
-def _minor_sums_matrix(arr: np.ndarray, m: int, threads: int, work_cap: int) -> list[complex]:
-    """c_k = sum over k-subsets I of per A_I, for k = 0..m."""
-    n = arr.shape[0]
-    budget = _matrix_budget(n, m)
-    if budget > work_cap:
-        raise SizeCapError(f"matrix subset enumeration needs ~{budget} ops, cap is {work_cap}")
-    rows = arr.tolist()
+def _slice_sums(parts: np.ndarray, pat: np.ndarray) -> np.ndarray:
+    """r[i, c] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t(c).
 
-    def per_subset(idx: tuple[int, ...]) -> complex:
-        return _ryser_core([[rows[i][j] for j in idx] for i in idx])
-
-    sums = [complex(1.0)]
-    for k in range(1, m + 1):
-        combos = list(itertools.combinations(range(n), k))
-        sums.append(chunked_sum(per_subset, combos, threads))
-    return sums
+    S_t(c) keeps the indices whose pattern bit t is clear. `parts` stacks
+    the real and imaginary parts of a along axis 0, so every contraction
+    is a real one: the last axis by a matrix product, the others one at a
+    time, with at most 2 n^(d-1) temporary entries per tuple.
+    """
+    d, n = parts.ndim, pat.shape[0]
+    keep = [(((pat >> t) & 1) == 0).astype(np.float64) for t in range(d - 1)]
+    x = parts.reshape(-1, n) @ keep[-1]
+    for t in range(d - 3, -1, -1):
+        x = np.einsum("ajc,jc->ac", x.reshape(-1, n, x.shape[1]), keep[t])
+    return x[:n] + 1j * x[n:]
 
 
-def _minor_sums_tensor(arr: np.ndarray, m: int, threads: int, work_cap: int) -> list[complex]:
-    """c_k = sum over k-subsets I of PER A_I, for k = 0..m."""
+def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
+    """c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
+
+    Ryser's inclusion-exclusion on each of the d - 1 permutation axes
+    writes PER(I + zA) as a signed sum over column-subset tuples
+    (S_0, ..., S_{d-2}) of prod_i ([i in every S_t] + z r_i), with the
+    masked slice sums r_i of _slice_sums. With T_t the complement of S_t and
+    U = union of the T_t, every row of U contributes a factor z, so only
+    tuples with |U| = u <= m reach the coefficients k <= m:
+
+        c_k = sum (-1)^(sum_t |T_t|) prod_{i in U} r_i e_{k-u}(r_i : i not in U),
+
+    where e_j is the elementary symmetric polynomial. For d = 2 this is
+    Ryser's formula truncated at order m. Tuples are processed in chunks
+    of a fixed layout and the chunk partials are folded in chunk order, so
+    repeated calls give bit-identical results.
+    """
     d, n = arr.ndim, arr.shape[0]
-    budget = _tensor_budget(n, d, m)
-    if budget > work_cap:
-        raise SizeCapError(f"tensor subset enumeration needs ~{budget} ops, cap is {work_cap}")
-    nested = arr.tolist()
-
-    # build the subtensor by nested index selection; small k keeps this cheap
-    def extract(node, level: int, idx: tuple[int, ...]):
-        if level == d:
-            return node
-        return [extract(node[i], level + 1, idx) for i in idx]
-
-    def per_subset(idx: tuple[int, ...]) -> complex:
-        return _tensor_core(extract(nested, 0, idx), len(idx), d)
-
-    sums = [complex(1.0)]
-    for k in range(1, m + 1):
-        combos = list(itertools.combinations(range(n), k))
-        sums.append(chunked_sum(per_subset, combos, threads))
-    return sums
+    work = minor_sum_work(n, d, m)
+    if work > work_cap:
+        raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
+    p = (1 << (d - 1)) - 1
+    size = max(1, min(CHUNK, CHUNK_ENTRIES // n ** (d - 1)))
+    parts = np.concatenate([arr.real, arr.imag])
+    sums = np.zeros(m + 1, dtype=np.complex128)
+    for u in range(m + 1):
+        for pat in _tuple_chunks(n, p, u, size):
+            r = _slice_sums(parts, pat)
+            in_u = pat != 0
+            lead = np.prod(np.where(in_u, r, 1.0), axis=0)
+            removed = sum(((pat >> t) & 1).sum(axis=0) for t in range(d - 1))
+            lead[removed % 2 == 1] *= -1
+            rest = np.where(in_u, 0.0, r)
+            e = np.zeros((m - u + 1, pat.shape[1]), dtype=np.complex128)
+            e[0] = 1.0
+            for i in range(n):
+                e[1:] += rest[i] * e[:-1]
+            sums[u:] += (e * lead).sum(axis=1)
+    return [complex(c) for c in sums]
 
 
 def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> list[complex]:
     """Derivatives g^(k)(0) of g(z) = per(I + z A) for k = 0..m.
 
     Each is k! times the sum of permanents of the k x k principal
-    submatrices; subsets are enumerated in lexicographic order.
+    subarrays; A may be a matrix or a cubical tensor (PER of principal
+    subtensors). `threads` is accepted for the determinism contract and
+    has no effect: the engine's chunk layout fixes every result.
     """
-    arr = as_matrix(a)
-    n = arr.shape[0]
-    if m > n:
-        raise ValueError(f"order {m} exceeds the polynomial degree {n}")
-    sums = _minor_sums_matrix(arr, m, threads, work_cap)
-    return [math.factorial(k) * sums[k] for k in range(m + 1)]
-
-
-def perm_poly_derivs_tensor(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> list[complex]:
-    """Tensor analogue of perm_poly_derivs, using PER of principal subtensors."""
     arr = as_tensor(a)
     n = arr.shape[0]
     if m > n:
         raise ValueError(f"order {m} exceeds the polynomial degree {n}")
-    sums = _minor_sums_tensor(arr, m, threads, work_cap)
+    sums = _minor_sums(arr, m, work_cap)
     return [math.factorial(k) * sums[k] for k in range(m + 1)]
+
+
+perm_poly_derivs_tensor = perm_poly_derivs
 
 
 def log_derivatives(g_derivs) -> list[complex]:
@@ -222,16 +266,10 @@ def approx_log_permanent(
     ln per(I) = 0 along z in [0, 1]. The measured effective lambda must
     not exceed cfg.lam; when it is smaller it replaces cfg.lam in both
     the order selection and the certified bound (tighter at no cost).
+    `threads` has no effect; it is kept for the determinism contract.
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = as_matrix(arr)
-        report = check_dominance_matrix(arr)
-        minor_sums = _minor_sums_matrix
-    else:
-        arr = as_tensor(arr)
-        report = check_dominance_tensor(arr)
-        minor_sums = _minor_sums_tensor
+    arr = as_tensor(a)
+    report = check_dominance_tensor(arr)
     if not report.admissible:
         raise InadmissibleInputError(
             f"input is not admissible (effective lambda {report.effective_lambda:.6g} >= 1)"
@@ -249,7 +287,7 @@ def approx_log_permanent(
         m = choose_order(n, lam, cfg.epsilon)
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    sums = minor_sums(arr, m_g, threads, work_cap)
+    sums = _minor_sums(arr, m_g, work_cap)
     g = [math.factorial(k) * sums[k] for k in range(m_g + 1)]
     g += [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
@@ -265,48 +303,6 @@ def approx_log_permanent(
     )
 
 
-def exact_log_permanent(a, steps: int = BRANCH_STEPS, product_cap: int = 10**8) -> complex:
-    """Branch-tracked exact log-permanent, the test-side reference value.
-
-    Walks z through `steps` uniform increments on [0, 1], evaluating the
-    exact permanent of I + z A at each node and accumulating the
-    principal-branch log of consecutive ratios. This follows the
-    continuous branch anchored at ln per(I) = 0, which a single
-    principal-branch log of the endpoint may miss by multiples of 2 pi i.
-    """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = as_matrix(arr)
-        rows = arr.tolist()
-        n = arr.shape[0]
-
-        def value_at(z: complex) -> complex:
-            m = [[z * rows[i][j] + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-            return _ryser_core(m)
-
-    else:
-        arr = as_tensor(arr)
-        d, n = arr.ndim, arr.shape[0]
-        if math.factorial(n) ** (d - 1) > product_cap:
-            raise SizeCapError("tensor too large for branch tracking")
-
-        def value_at(z: complex) -> complex:
-            scaled = z * arr
-            idx = tuple(np.arange(n) for _ in range(d))
-            scaled[idx] += 1.0
-            return _tensor_core(scaled.tolist(), n, d)
-
-    total = complex(0.0)
-    prev = complex(1.0)
-    for t in range(1, steps + 1):
-        cur = value_at(t / steps)
-        if cur == 0:
-            raise ArithmeticError(f"permanent vanishes at z = {t / steps}")
-        total += cmath.log(cur / prev)
-        prev = cur
-    return total
-
-
 def zero_scan(
     a,
     radius: float | None = None,
@@ -320,17 +316,12 @@ def zero_scan(
     The polynomial coefficients are the exact principal-minor sums, so each
     grid value is an exact evaluation up to rounding. Default radius is
     0.99 / effective_lambda, just inside the disk that admissibility
-    certifies to be zero-free.
+    certifies to be zero-free. `threads` has no effect, as in
+    approx_log_permanent.
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = as_matrix(arr)
-        report = check_dominance_matrix(arr)
-        sums = _minor_sums_matrix(arr, arr.shape[0], threads, work_cap)
-    else:
-        arr = as_tensor(arr)
-        report = check_dominance_tensor(arr)
-        sums = _minor_sums_tensor(arr, arr.shape[0], threads, work_cap)
+    arr = as_tensor(a)
+    report = check_dominance_tensor(arr)
+    sums = _minor_sums(arr, arr.shape[0], work_cap)
     if radial < 1 or angular < 1:
         raise ValueError("grid resolution must be positive")
     if radius is None:

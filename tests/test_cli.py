@@ -155,6 +155,29 @@ def test_exit_code_parse_error(tmp_path, cli):
     assert code == 1
 
 
+def test_approx_zero_matrix_without_lambda(tmp_path, cli):
+    path = tmp_path / "z.json"
+    path.write_text(json_dumps(matrix_to_json(np.zeros((3, 3)))))
+    code, out, err = cli("approx", str(path))
+    assert code == 0, err
+    assert out == (
+        '{"m": 0, "value": [0, 0], "error_bound": 0, "g_derivs": [[1, 0]], '
+        '"f_derivs": [[0, 0]]}\n'
+    )
+
+
+@pytest.mark.parametrize("field,label", [("edges", 1.7), ("edges", True),
+                                         ("m0", 1.0), ("m0", False)])
+def test_matching_stats_rejects_non_integer_labels(tmp_path, cli, field, label):
+    doc = {"d": 2, "n": 2, "edges": [[0, 0], [1, 1], [0, 1]], "m0": [[0, 0], [1, 1]]}
+    doc[field][0] = [label, 0] if field == "edges" else [0, label]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli("matching-stats", "--lambda", "0.4", str(path))
+    assert code == 1
+    assert out == "" and "integer vertex labels" in err
+
+
 def test_exit_code_inadmissible(tmp_path, cli):
     doc = matrix_to_json(np.full((3, 3), 0.5))
     path = tmp_path / "m.json"

@@ -99,6 +99,9 @@ def test_json_dumps_types():
 
 def test_approx_config_validation():
     ApproxConfig(lam=0.5, epsilon=0.01)
+    assert ApproxConfig(lam=0.0, epsilon=0.01).lam == 0.0
+    with pytest.raises(ValueError):
+        ApproxConfig(lam=-0.1, epsilon=0.01)
     with pytest.raises(ValueError):
         ApproxConfig(lam=1.0, epsilon=0.01)
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from permtaylor import (
     check_dominance_tensor,
     encode_tensor,
     enumerate_matchings,
+    hypergraph_from_json,
     identity_tensor,
     matching_stats,
     normalize_base_matching,
@@ -34,6 +35,17 @@ def _diag(d, n):
 def _weighted_tensor(h, lam):
     t = encode_tensor(h) - identity_tensor(h.d, h.n)
     return lam * lam * t
+
+
+@pytest.mark.parametrize("bad", [1.7, True, 1.0, "1", None])
+def test_from_json_rejects_non_integer_labels(bad):
+    good = {"d": 2, "n": 2, "edges": [[0, 0], [1, 1]], "m0": [[0, 0], [1, 1]]}
+    h, m0 = hypergraph_from_json(good)
+    assert h.edges == ((0, 0), (1, 1)) and m0 == [(0, 0), (1, 1)]
+    for field in ("edges", "m0"):
+        doc = {**good, field: [[0, 0], [1, bad]]}
+        with pytest.raises(ValueError, match="integer vertex labels"):
+            hypergraph_from_json(doc)
 
 
 def test_encode_diagonal_is_identity():

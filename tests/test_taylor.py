@@ -306,6 +306,20 @@ def test_exact_log_follows_continuous_branch():
     assert abs(np.log(endpoint) - tracked) > 1.0  # principal value winds off
 
 
+def test_exact_log_halves_steps_that_turn_too_far():
+    # one step from z = 0 to 1 turns the phase by 6 atan(0.9) > pi; the
+    # guard halves it instead of taking the wrapped principal log
+    d = np.full(6, 0.9j)
+    tracked = exact_log_permanent(np.diag(d), steps=1)
+    assert tracked == pytest.approx(np.sum(np.log(1 + d)))
+
+
+def test_exact_log_raises_when_halving_cannot_resolve_the_phase():
+    # (1 - z + 1e-15 i z)^2 turns by pi within 1e-15 of z = 1
+    with pytest.raises(ArithmeticError):
+        exact_log_permanent(np.diag([-1 + 1e-15j, -1 + 1e-15j]))
+
+
 # -- zero scanning -----------------------------------------------------------
 
 def test_zero_scan_zero_matrix():
