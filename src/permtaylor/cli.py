@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -235,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="path to the instance JSON file")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="accepted for compatibility; output does not depend on it")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--work-cap", type=int, default=WORK_CAP, dest="work_cap",
                        help="enumeration budget before failing fast")
         p.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")

@@ -89,9 +89,7 @@ def as_tensor(a) -> np.ndarray:
 
 
 def identity_matrix(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return np.eye(n, dtype=np.complex128)
+    return identity_tensor(2, n)
 
 
 def identity_tensor(d: int, n: int) -> np.ndarray:

@@ -84,10 +84,7 @@ def _report(sums: np.ndarray, zero_diag: bool, form: DominanceForm | None = None
 
 def check_dominance_matrix(a) -> DominanceReport:
     """Row sums sum_j |a_ij| (diagonal included) and max over rows."""
-    arr = as_matrix(a)
-    sums = np.abs(arr).sum(axis=1)
-    zero_diag = bool(np.all(np.diagonal(arr) == 0))
-    return _report(sums, zero_diag)
+    return check_dominance_tensor(as_matrix(a))
 
 
 def check_dominance_tensor(a) -> DominanceReport:

@@ -219,27 +219,16 @@ def exact_log_permanent(
     at most pi/2; past that ArithmeticError is raised rather than risking
     a silent wrap.
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = as_matrix(arr)
-        rows = arr.tolist()
-        n = arr.shape[0]
+    arr = as_tensor(a)
+    d, n = arr.ndim, arr.shape[0]
+    if d > 2 and math.factorial(n) ** (d - 1) > product_cap:
+        raise SizeCapError("tensor too large for branch tracking")
+    diag = tuple(np.arange(n) for _ in range(d))
 
-        def value_at(z: float) -> complex:
-            m = [[z * rows[i][j] + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-            return _ryser_core(m)
-
-    else:
-        arr = as_tensor(arr)
-        d, n = arr.ndim, arr.shape[0]
-        if math.factorial(n) ** (d - 1) > product_cap:
-            raise SizeCapError("tensor too large for branch tracking")
-
-        def value_at(z: float) -> complex:
-            scaled = z * arr
-            idx = tuple(np.arange(n) for _ in range(d))
-            scaled[idx] += 1.0
-            return _tensor_core(scaled.tolist(), n, d)
+    def value_at(z: float) -> complex:
+        scaled = z * arr
+        scaled[diag] += 1.0
+        return _ryser_core(scaled.tolist()) if d == 2 else _tensor_core(scaled.tolist(), n, d)
 
     def log_step(z0: float, v0: complex, z1: float, v1: complex, halvings: int) -> complex:
         if v1 == 0:

@@ -85,9 +85,7 @@ class DPartiteHypergraph:
 
 def _edge_from_json(e) -> Edge:
     """An edge read from JSON: a list of integer vertex labels, taken as is."""
-    if not isinstance(e, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in e
-    ):
+    if not isinstance(e, list) or any(type(v) is not int for v in e):
         raise ValueError(f"edge {e!r} must be a list of integer vertex labels")
     return tuple(e)
 

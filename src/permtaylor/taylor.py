@@ -12,9 +12,9 @@ The derivatives of g at 0 are principal-minor sums,
     g^(k)(0) = k! sum_{|I| = k} per A_I,
 
 computed by Ryser's inclusion-exclusion truncated at order k (see
-_minor_sums), and the log-derivatives f^(k)(0) follow by
-forward substitution through the triangular convolution that links a
-function with its logarithm. The identical scheme covers cubical tensors:
+_minor_sums); the log-derivatives f^(k)(0) follow by forward substitution
+through the triangular convolution that links a function with its
+logarithm. The identical scheme covers cubical tensors:
 PER(I + z A) also has degree at most n in z, so the same tail bound is
 used with the axis-0 slice sums supplying lam.
 
@@ -42,9 +42,8 @@ from .dominance import check_dominance_tensor
 from .summation import ComplexNeumaier
 
 WORK_CAP = 10**9
-# tuples per engine chunk, and entries per chunk in its largest temporary
-CHUNK = 1024
-CHUNK_ENTRIES = 1 << 16
+# entries in the engine's largest per-block temporary
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,26 +120,34 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
 def minor_sum_work(n: int, d: int, m: int) -> int:
     """Work of the minor-sum engine for orders 0..m on a d-dimensional array.
 
-    The engine visits sum_{u <= m} C(n, u) (2^(d-1) - 1)^u (U, pattern)
-    tuples, and each costs one masked contraction of the n^d array plus
-    an O(n m) elementary symmetric recurrence.
+    2^(d-1) partial slice sums of the n^d array, then for each of the
+    C(n, u) (2^(d-1) - 1)^u tuples with |U| = u <= m: (u + 1)^(d-1) gathered
+    entries for each row of U and, below order m, for each of the n rows,
+    plus an O(n (m - u)) elementary symmetric recurrence.
     """
     p = (1 << (d - 1)) - 1
-    tuples = sum(math.comb(n, u) * p**u for u in range(m + 1))
-    return tuples * (n**d + n * m)
+    total = (p + 1) * n**d
+    for u in range(m + 1):
+        per_tuple = u * (u + 1) ** (d - 1)
+        if u < m:
+            per_tuple += n * ((u + 1) ** (d - 1) + m - u)
+        total += math.comb(n, u) * p**u * per_tuple
+    return total
 
 
-def _tuple_chunks(n: int, p: int, u: int, size: int):
-    """Pattern matrices (n x C) covering every (U, pattern) tuple with |U| = u.
+def _tuple_blocks(n: int, p: int, u: int):
+    """(rows, vals) blocks whose products cover every (U, pattern) tuple with |U| = u.
 
-    Entry [i, c] of a block is 0 when row i lies outside the co-subset U of
-    tuple c, and otherwise the non-empty bitmask (1..p) of the permutation
-    axes row i is removed from. Co-subsets run in lexicographic order and
-    patterns in base-p order within each; every block holds at most `size`
-    tuples, so the layout depends on (n, p, u, size) alone.
+    rows (K x u) holds K co-subsets U in lexicographic order, vals (P x u)
+    P patterns in base-p order: vals[j, q] is the non-empty bitmask (1..p)
+    of the permutation axes that rows[k, q] is removed from. Block sizes
+    keep the engine's temporaries below BLOCK_ENTRIES and depend on
+    (n, p, u) alone.
     """
+    width = max(1, u) ** p.bit_length()
     npat = p**u
-    per = max(1, size // npat)
+    npb = min(npat, max(1, BLOCK_ENTRIES // width))
+    per = max(1, BLOCK_ENTRIES // (n * max(width, npb)))
     weights = p ** np.arange(u - 1, -1, -1)
     combos = itertools.combinations(range(n), u)
     ncomb = math.comb(n, u)
@@ -151,29 +158,38 @@ def _tuple_chunks(n: int, p: int, u: int, size: int):
             dtype=np.intp,
             count=take * u,
         ).reshape(take, u)
-        for start in range(0, npat, size):
-            q = np.arange(start, min(npat, start + size))
-            vals = q[:, None] // weights % p + 1
-            pat = np.zeros((n, take * len(q)), dtype=np.intp)
-            cols = np.arange(pat.shape[1])[:, None]
-            pat[np.repeat(rows, len(q), axis=0), cols] = np.tile(vals, (take, 1))
-            yield pat
+        for start in range(0, npat, npb):
+            q = np.arange(start, min(npat, start + npb))
+            yield rows, q[:, None] // weights % p + 1
 
 
-def _slice_sums(parts: np.ndarray, pat: np.ndarray) -> np.ndarray:
-    """r[i, c] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t(c).
+def _slice_sums(partials, rows: np.ndarray, vals: np.ndarray, at=None) -> np.ndarray:
+    """r[j, k, w] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for row i = at[k, w].
 
-    S_t(c) keeps the indices whose pattern bit t is clear. `parts` stacks
-    the real and imaginary parts of a along axis 0, so every contraction
-    is a real one: the last axis by a matrix product, the others one at a
-    time, with at most 2 n^(d-1) temporary entries per tuple.
+    S_t drops the rows of co-subset rows[k] whose pattern vals[j] has bit t
+    set; without `at`, r covers every row i = w. Writing [j_t in S_t] as
+    1 - [j_t in T_t] makes r an alternating sum over axis sets B of the
+    partial sums at removed indices; a 0/1 matrix of pattern hits weighs
+    them for all patterns in one product. For d = 2, r is the row sums
+    minus the |U| removed columns.
     """
-    d, n = parts.ndim, pat.shape[0]
-    keep = [(((pat >> t) & 1) == 0).astype(np.float64) for t in range(d - 1)]
-    x = parts.reshape(-1, n) @ keep[-1]
-    for t in range(d - 3, -1, -1):
-        x = np.einsum("ajc,jc->ac", x.reshape(-1, n, x.shape[1]), keep[t])
-    return x[:n] + 1j * x[n:]
+    (nk, u), npat = rows.shape, len(vals)
+    full = partials[0][1]
+    tail, pad, width = (slice(None), (), len(full)) if at is None else (at, (1,), at.shape[1])
+    r = np.empty((npat, nk, width), dtype=np.complex128)
+    r[...] = full[tail]
+    index = np.ascontiguousarray(rows.T)
+    for axes, part in partials[1:] if u else ():
+        b = len(axes)
+        shape = [(1,) * i + (u,) + (1,) * (b - 1 - i) for i in range(b)]
+        gathered = part[tuple(index.reshape(s + (nk,) + pad) for s in shape) + (tail,)]
+        hits = np.ones((npat,) + (1,) * b)
+        for s, t in zip(shape, axes):
+            hits = hits * ((vals >> t) & 1).reshape((npat,) + s)
+        term = hits.reshape(npat, -1) @ gathered.view(np.float64).reshape(u**b, -1)
+        term = term.view(np.complex128).reshape(r.shape)
+        r += -term if b % 2 else term
+    return r
 
 
 def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
@@ -189,30 +205,36 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
         c_k = sum (-1)^(sum_t |T_t|) prod_{i in U} r_i e_{k-u}(r_i : i not in U),
 
     where e_j is the elementary symmetric polynomial. For d = 2 this is
-    Ryser's formula truncated at order m. Tuples are processed in chunks
-    of a fixed layout and the chunk partials are folded in chunk order, so
-    repeated calls give bit-identical results.
+    Ryser's formula truncated at order m. The lead product needs r only at
+    the rows of U, and order m needs nothing else, so its tuples, the most
+    numerous, cost O(u (u + 1)^(d-1)) whatever n is. Tuples are processed in
+    blocks whose layout depends on (n, d, u) alone, and the block partials
+    are folded in block order, so repeated calls give bit-identical results.
     """
     d, n = arr.ndim, arr.shape[0]
     work = minor_sum_work(n, d, m)
     if work > work_cap:
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
     p = (1 << (d - 1)) - 1
-    size = max(1, min(CHUNK, CHUNK_ENTRIES // n ** (d - 1)))
-    parts = np.concatenate([arr.real, arr.imag])
+    # (B, a summed over the permutation axes outside B, row axis last)
+    partials = []
+    for b in range(p + 1):
+        axes = tuple(t for t in range(d - 1) if b >> t & 1)
+        part = arr.sum(axis=tuple(1 + t for t in range(d - 1) if t not in axes))
+        partials.append((axes, np.ascontiguousarray(np.moveaxis(part, 0, -1))))
     sums = np.zeros(m + 1, dtype=np.complex128)
     for u in range(m + 1):
-        for pat in _tuple_chunks(n, p, u, size):
-            r = _slice_sums(parts, pat)
-            in_u = pat != 0
-            lead = np.prod(np.where(in_u, r, 1.0), axis=0)
-            removed = sum(((pat >> t) & 1).sum(axis=0) for t in range(d - 1))
-            lead[removed % 2 == 1] *= -1
-            rest = np.where(in_u, 0.0, r)
-            e = np.zeros((m - u + 1, pat.shape[1]), dtype=np.complex128)
+        for rows, vals in _tuple_blocks(n, p, u):
+            removed = sum(((vals >> t) & 1).sum(axis=1) for t in range(d - 1))
+            sign = np.where(removed % 2, -1.0, 1.0)[:, None]
+            lead = (_slice_sums(partials, rows, vals, rows).prod(axis=2) * sign).ravel()
+            e = np.zeros((m - u + 1, len(lead)), dtype=np.complex128)
             e[0] = 1.0
-            for i in range(n):
-                e[1:] += rest[i] * e[:-1]
+            if u < m:
+                r = _slice_sums(partials, rows, vals).reshape(-1)
+                r[np.arange(0, len(r), n).reshape(len(vals), len(rows), 1) + rows] = 0.0
+                for ri in r.reshape(-1, n).T.copy():
+                    e[1:] += ri * e[:-1]
             sums[u:] += (e * lead).sum(axis=1)
     return [complex(c) for c in sums]
 
@@ -222,8 +244,8 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
 
     Each is k! times the sum of permanents of the k x k principal
     subarrays; A may be a matrix or a cubical tensor (PER of principal
-    subtensors). `threads` is accepted for the determinism contract and
-    has no effect: the engine's chunk layout fixes every result.
+    subtensors). `threads` is accepted for compatibility and has no
+    effect: the engine's block layout fixes every result.
     """
     arr = as_tensor(a)
     n = arr.shape[0]
@@ -287,9 +309,7 @@ def approx_log_permanent(
         m = choose_order(n, lam, cfg.epsilon)
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    sums = _minor_sums(arr, m_g, work_cap)
-    g = [math.factorial(k) * sums[k] for k in range(m_g + 1)]
-    g += [complex(0.0)] * (m - m_g)
+    g = perm_poly_derivs(arr, m_g, work_cap=work_cap) + [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
     acc = ComplexNeumaier()
     for k in range(m + 1):
@@ -316,8 +336,7 @@ def zero_scan(
     The polynomial coefficients are the exact principal-minor sums, so each
     grid value is an exact evaluation up to rounding. Default radius is
     0.99 / effective_lambda, just inside the disk that admissibility
-    certifies to be zero-free. `threads` has no effect, as in
-    approx_log_permanent.
+    certifies to be zero-free. `threads` has no effect.
     """
     arr = as_tensor(a)
     report = check_dominance_tensor(arr)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from permtaylor import (
+    ApproxConfig,
     SizeCapError,
+    approx_log_permanent,
     minor_sum_work,
     perm_poly_derivs,
     permanent_definitional,
@@ -22,7 +24,7 @@ from permtaylor import (
     principal_subtensor,
 )
 from permtaylor.generators import random_admissible_matrix, random_admissible_tensor
-from permtaylor.taylor import _tuple_chunks
+from permtaylor.taylor import WORK_CAP, _tuple_blocks
 
 from conftest import run_cli
 
@@ -81,22 +83,36 @@ def test_tensor_result_is_bit_identical_across_threads_and_calls():
     assert perm_poly_derivs(t, 6, threads=1) == first
 
 
-@pytest.mark.parametrize("n,p,u,size", [(5, 1, 2, 3), (4, 3, 2, 4), (4, 3, 3, 100), (3, 7, 2, 10)])
-def test_chunks_cover_each_tuple_once(n, p, u, size):
+@pytest.mark.parametrize("n,p,u", [(5, 1, 2), (20, 1, 3), (4, 3, 3), (10, 3, 5), (5, 7, 5), (4, 3, 0)])
+def test_blocks_cover_each_tuple_once(n, p, u):
     seen = []
-    for pat in _tuple_chunks(n, p, u, size):
-        assert pat.shape[0] == n and 1 <= pat.shape[1] <= size
-        seen.extend(tuple(col) for col in pat.T)
+    for rows, vals in _tuple_blocks(n, p, u):
+        assert rows.shape[1] == vals.shape[1] == u and len(rows) * len(vals) >= 1
+        assert all(list(row) == sorted(set(row)) for row in rows)
+        assert ((1 <= vals) & (vals <= p)).all()
+        seen.extend((tuple(row), tuple(val)) for row in rows for val in vals)
     assert len(seen) == len(set(seen)) == math.comb(n, u) * p**u
-    assert all(sum(v != 0 for v in col) == u and max(col, default=0) <= p for col in seen)
 
 
 def test_work_formula():
-    # d = 2: sum_u C(n, u) tuples, each n^2 + n m
-    assert minor_sum_work(6, 2, 2) == (1 + 6 + 15) * (36 + 12)
-    # d = 3: three non-empty axis sets per removed row
-    assert minor_sum_work(4, 3, 1) == (1 + 4 * 3) * (64 + 4)
-    assert minor_sum_work(4, 3, 4) == 4**4 * (64 + 16)
+    # d = 2: two partial sums of n^2, then per tuple (u + 1) gathers and the recurrence
+    assert minor_sum_work(6, 2, 2) == 2 * 36 + 1 * 6 * (1 + 2) + 6 * (2 + 6 * (2 + 1)) + 15 * 2 * 3
+    # d = 3: three non-empty axis sets per removed row, (u + 1)^2 gathers
+    assert minor_sum_work(4, 3, 1) == 4 * 64 + 1 * 4 * (1 + 1) + 4 * 3 * 1 * 4
+    assert minor_sum_work(100, 2, 3) < WORK_CAP
+
+
+def test_large_matrix_at_low_order_runs_under_default_cap():
+    # lambda = 0.1 at n = 100 with epsilon = 0.01 selects m = 3
+    rng = np.random.default_rng(11)
+    a = random_admissible_matrix(100, 0.1, rng)
+    res = approx_log_permanent(a, ApproxConfig(lam=0.1, epsilon=0.01))
+    assert res.order_m == 3 and res.error_bound <= 0.01
+    # c_1 and c_2 in closed form
+    diag = np.diag(a)
+    c2 = (diag.sum() ** 2 - (diag**2).sum()) / 2 + (a * a.T).sum() / 2 - (diag**2).sum() / 2
+    assert abs(res.g_derivs[1] - diag.sum()) <= 1e-13
+    assert abs(res.g_derivs[2] / 2 - c2) <= 1e-13
 
 
 def test_work_cap_raises():
