@@ -306,7 +306,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.fn(args)
+        _emit(args.fn(args), args.pretty)
     except InadmissibleInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,7 +316,6 @@ def run(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc, args.pretty)
     return 0
 
 

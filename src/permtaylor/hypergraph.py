@@ -223,6 +223,8 @@ def matching_stats(
     carries both the log-space value with its additive bound and the
     exponentiated count with relative bound e^bound - 1.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam <= 0:
         raise ValueError("lam must be positive")
     if not h.has_diagonal_matching():

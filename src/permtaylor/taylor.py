@@ -24,7 +24,6 @@ which is kept honest by explicit work caps instead of silent truncation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,76 +119,179 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
 def minor_sum_work(n: int, d: int, m: int) -> int:
     """Work of the minor-sum engine for orders 0..m on a d-dimensional array.
 
-    2^(d-1) partial slice sums of the n^d array, then for each of the
-    C(n, u) (2^(d-1) - 1)^u tuples with |U| = u <= m: (u + 1)^(d-1) gathered
-    entries for each row of U and, below order m, for each of the n rows,
-    plus an O(n (m - u)) elementary symmetric recurrence.
+    2^(d-1) partial slice sums of the n^d array, then a charge for each of
+    the C(n, u) (2^(d-1) - 1)^u tuples with |U| = u <= m. A matrix tuple
+    takes its row sums from its parent's minus one column: n (m - u + 1)
+    below order m, with the elementary symmetric recurrence, and 2u at
+    order m, where only the rows of U are needed. A tensor tuple gathers
+    (u + 1)^(d-1) entries for each row of U and, below order m, for each
+    of the n rows, plus the O(n (m - u)) recurrence.
     """
     p = (1 << (d - 1)) - 1
     total = (p + 1) * n**d
     for u in range(m + 1):
-        per_tuple = u * (u + 1) ** (d - 1)
-        if u < m:
-            per_tuple += n * ((u + 1) ** (d - 1) + m - u)
+        if d == 2:
+            per_tuple = n * (m - u + 1) if u < m else 2 * u
+        else:
+            per_tuple = u * (u + 1) ** (d - 1)
+            if u < m:
+                per_tuple += n * ((u + 1) ** (d - 1) + m - u)
         total += math.comb(n, u) * p**u * per_tuple
     return total
 
 
-def _tuple_blocks(n: int, p: int, u: int):
-    """(rows, vals) blocks whose products cover every (U, pattern) tuple with |U| = u.
+def _block_sizes(n: int, p: int, u: int) -> tuple[int, int]:
+    """Most co-subsets and most patterns in one block at co-subset size u.
 
-    rows (K x u) holds K co-subsets U in lexicographic order, vals (P x u)
-    P patterns in base-p order: vals[j, q] is the non-empty bitmask (1..p)
-    of the permutation axes that rows[k, q] is removed from. Block sizes
-    keep the engine's temporaries below BLOCK_ENTRIES and depend on
-    (n, p, u) alone.
+    A matrix block carries K x n row sums. A tensor block meets P patterns
+    and gathers u^(d-1) partial sums for each of its K n slice sums. The
+    sizes keep those temporaries below BLOCK_ENTRIES and depend on
+    (n, p, u) alone, which fixes the block layout.
     """
+    if p == 1:
+        return max(1, min(1024, BLOCK_ENTRIES // n)), 1
     width = max(1, u) ** p.bit_length()
+    npb = min(p**u, max(1, BLOCK_ENTRIES // width))
+    return max(1, BLOCK_ENTRIES // (n * max(width, npb))), npb
+
+
+def _co_subset_blocks(n: int, m: int, caps):
+    """Blocks of the co-subsets U of range(n) with |U| <= m, depth first.
+
+    Yields (rows, parent): column k of rows (u x K) lists the k-th of
+    K <= caps[u] co-subsets of size u in increasing order, and extends
+    column parent[k] of the last block yielded at size u - 1 by rows[-1, k].
+    Each block is followed by the blocks of its children U + {j}, j > max U,
+    so every size comes in lexicographic order, and the layout depends on
+    n and caps alone.
+    """
+
+    def children(rows):
+        u, k = rows.shape
+        start = rows[-1] + 1 if u else np.zeros(k, dtype=np.intp)
+        count = n - start
+        parent = np.repeat(np.arange(k), count)
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - start, count)
+        cap = caps[u + 1]
+        for s in range(0, len(parent), cap):
+            par = parent[s : s + cap]
+            block = np.concatenate((rows.take(par, axis=1), last[None, s : s + cap]))
+            yield block, par
+            if u + 1 < m:
+                yield from children(block)
+
+    root = np.zeros((0, 1), dtype=np.intp)
+    yield root, None
+    if m:
+        yield from children(root)
+
+
+def _pattern_blocks(p: int, u: int, step: int):
+    """Blocks (at most step x u) of the p^u patterns of a co-subset, in base-p order.
+
+    vals[j, q] is the non-empty bitmask (1..p) of the permutation axes that
+    row q of U is removed from.
+    """
     npat = p**u
-    npb = min(npat, max(1, BLOCK_ENTRIES // width))
-    per = max(1, BLOCK_ENTRIES // (n * max(width, npb)))
     weights = p ** np.arange(u - 1, -1, -1)
-    combos = itertools.combinations(range(n), u)
-    ncomb = math.comb(n, u)
-    for first in range(0, ncomb, per):
-        take = min(per, ncomb - first)
-        rows = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, take)),
-            dtype=np.intp,
-            count=take * u,
-        ).reshape(take, u)
-        for start in range(0, npat, npb):
-            q = np.arange(start, min(npat, start + npb))
-            yield rows, q[:, None] // weights % p + 1
+    for start in range(0, npat, step):
+        q = np.arange(start, min(npat, start + step))
+        yield q[:, None] // weights % p + 1
 
 
-def _slice_sums(partials, rows: np.ndarray, vals: np.ndarray, at=None) -> np.ndarray:
+def _hit_matrices(partials, vals: np.ndarray) -> list[np.ndarray]:
+    """For each axis set B of partials[1:], the 0/1 matrix (P x u^|B|) whose
+    entry [j, (q_1, ..., q_b)] is 1 when pattern vals[j] removes row q_t of
+    U from axis B_t for every t."""
+    npat = len(vals)
+    # each set extends the set without its last axis, which comes earlier
+    hits = {(): np.ones((npat, 1))}
+    for axes, _ in partials[1:]:
+        h = hits[axes[:-1]][:, :, None] * ((vals >> axes[-1]) & 1)[:, None, :]
+        hits[axes] = h.reshape(npat, -1)
+    return [hits[axes] for axes, _ in partials[1:]]
+
+
+def _slice_sums(partials, hits, rows: np.ndarray, at=None) -> np.ndarray:
     """r[j, k, w] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for row i = at[k, w].
 
-    S_t drops the rows of co-subset rows[k] whose pattern vals[j] has bit t
-    set; without `at`, r covers every row i = w. Writing [j_t in S_t] as
+    S_t drops the rows of co-subset rows[:, k] whose pattern j has bit t set;
+    without `at`, r covers every row i = w. Writing [j_t in S_t] as
     1 - [j_t in T_t] makes r an alternating sum over axis sets B of the
-    partial sums at removed indices; a 0/1 matrix of pattern hits weighs
-    them for all patterns in one product. For d = 2, r is the row sums
-    minus the |U| removed columns.
+    partial sums at removed indices; the hit matrices of _hit_matrices
+    weigh them for all patterns in one product.
     """
-    (nk, u), npat = rows.shape, len(vals)
+    (u, nk), npat = rows.shape, len(hits[0])
     full = partials[0][1]
     tail, pad, width = (slice(None), (), len(full)) if at is None else (at, (1,), at.shape[1])
     r = np.empty((npat, nk, width), dtype=np.complex128)
     r[...] = full[tail]
-    index = np.ascontiguousarray(rows.T)
-    for axes, part in partials[1:] if u else ():
+    for (axes, part), h in zip(partials[1:], hits) if u else ():
         b = len(axes)
         shape = [(1,) * i + (u,) + (1,) * (b - 1 - i) for i in range(b)]
-        gathered = part[tuple(index.reshape(s + (nk,) + pad) for s in shape) + (tail,)]
-        hits = np.ones((npat,) + (1,) * b)
-        for s, t in zip(shape, axes):
-            hits = hits * ((vals >> t) & 1).reshape((npat,) + s)
-        term = hits.reshape(npat, -1) @ gathered.view(np.float64).reshape(u**b, -1)
+        gathered = part[tuple(rows.reshape(s + (nk,) + pad) for s in shape) + (tail,)]
+        term = h @ gathered.view(np.float64).reshape(u**b, -1)
         term = term.view(np.complex128).reshape(r.shape)
         r += -term if b % 2 else term
     return r
+
+
+def _matrix_terms(a: np.ndarray, m: int):
+    """(u, lead, r) for each co-subset block of a matrix; see _minor_sums.
+
+    A child's row sums are its parent's minus one column,
+    r(U + {j}) = r(U) - a[:, j], so each block below order m costs one
+    column gather per co-subset. The lead needs r only at the rows of U,
+    2u gathered entries; it is formed the same way at every order, which
+    keeps lower orders a bit-exact prefix of higher ones.
+    """
+    n = len(a)
+    # row sums (n x K) of the last block yielded at each size below m
+    carry = [a.sum(axis=1)[:, None]] + [None] * m
+    for rows, parent in _co_subset_blocks(n, m, [_block_sizes(n, 1, 0)[0]] * (m + 1)):
+        u, k = rows.shape
+        if not u:
+            yield 0, np.ones(1), carry[0]
+            continue
+        up, last = carry[u - 1], rows[-1]
+        lead = (up.take(rows * up.shape[1] + parent) - a.take(rows * n + last)).prod(axis=0)
+        r = None
+        if u < m:
+            carry[u] = up.take(parent, axis=1) - a.take(last, axis=1)
+            r = carry[u].copy()
+            r[rows, np.arange(k)] = 0.0
+        yield u, -lead if u % 2 else lead, r
+
+
+def _tensor_terms(arr: np.ndarray, m: int):
+    """(u, lead, r) for each (co-subset block, pattern block) of a d >= 3 tensor.
+
+    A removed index's slice depends on the sets removed on the other axes,
+    so the slice sums come from the partial-sum expansion of _slice_sums
+    rather than from the parent's.
+    """
+    d, n = arr.ndim, arr.shape[0]
+    p = (1 << (d - 1)) - 1
+    # (B, a summed over the permutation axes outside B, row axis last)
+    partials = []
+    for b in range(p + 1):
+        axes = tuple(t for t in range(d - 1) if b >> t & 1)
+        part = arr.sum(axis=tuple(1 + t for t in range(d - 1) if t not in axes))
+        partials.append((axes, np.ascontiguousarray(np.moveaxis(part, 0, -1))))
+    sizes = [_block_sizes(n, p, u) for u in range(m + 1)]
+    for rows, _ in _co_subset_blocks(n, m, [cap for cap, _ in sizes]):
+        (u, k), at = rows.shape, np.ascontiguousarray(rows.T)
+        for vals in _pattern_blocks(p, u, sizes[u][1]):
+            hits = _hit_matrices(partials, vals)
+            removed = sum(((vals >> t) & 1).sum(axis=1) for t in range(d - 1))
+            sign = np.where(removed % 2, -1.0, 1.0)[:, None]
+            lead = (_slice_sums(partials, hits, rows, at).prod(axis=2) * sign).ravel()
+            r = None
+            if u < m:
+                r = _slice_sums(partials, hits, rows).reshape(-1)
+                r[np.arange(0, len(r), n).reshape(len(vals), k, 1) + at] = 0.0
+                r = r.reshape(-1, n).T.copy()
+            yield u, lead, r
 
 
 def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
@@ -198,44 +300,34 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
     Ryser's inclusion-exclusion on each of the d - 1 permutation axes
     writes PER(I + zA) as a signed sum over column-subset tuples
     (S_0, ..., S_{d-2}) of prod_i ([i in every S_t] + z r_i), with the
-    masked slice sums r_i of _slice_sums. With T_t the complement of S_t and
-    U = union of the T_t, every row of U contributes a factor z, so only
-    tuples with |U| = u <= m reach the coefficients k <= m:
+    masked slice sums r_i. With T_t the complement of S_t and U = union of
+    the T_t, every row of U contributes a factor z, so only tuples with
+    |U| = u <= m reach the coefficients k <= m:
 
         c_k = sum (-1)^(sum_t |T_t|) prod_{i in U} r_i e_{k-u}(r_i : i not in U),
 
     where e_j is the elementary symmetric polynomial. For d = 2 this is
-    Ryser's formula truncated at order m. The lead product needs r only at
-    the rows of U, and order m needs nothing else, so its tuples, the most
-    numerous, cost O(u (u + 1)^(d-1)) whatever n is. Tuples are processed in
-    blocks whose layout depends on (n, d, u) alone, and the block partials
-    are folded in block order, so repeated calls give bit-identical results.
+    Ryser's formula truncated at order m. The co-subsets U are walked as a
+    prefix tree (_co_subset_blocks), and the step picked by d yields each
+    block's signed lead products and, below order m, its slice sums
+    (n x tuples) with the rows of U zeroed. Order m needs only the lead, so
+    its tuples, the most numerous, cost O(u (u + 1)^(d-1)) whatever n is.
+    The block layout depends on (n, d, u) alone, and the block partials are
+    folded in walk order, so repeated calls give bit-identical results.
     """
     d, n = arr.ndim, arr.shape[0]
     work = minor_sum_work(n, d, m)
     if work > work_cap:
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
-    p = (1 << (d - 1)) - 1
-    # (B, a summed over the permutation axes outside B, row axis last)
-    partials = []
-    for b in range(p + 1):
-        axes = tuple(t for t in range(d - 1) if b >> t & 1)
-        part = arr.sum(axis=tuple(1 + t for t in range(d - 1) if t not in axes))
-        partials.append((axes, np.ascontiguousarray(np.moveaxis(part, 0, -1))))
+    terms = _matrix_terms(arr, m) if d == 2 else _tensor_terms(arr, m)
     sums = np.zeros(m + 1, dtype=np.complex128)
-    for u in range(m + 1):
-        for rows, vals in _tuple_blocks(n, p, u):
-            removed = sum(((vals >> t) & 1).sum(axis=1) for t in range(d - 1))
-            sign = np.where(removed % 2, -1.0, 1.0)[:, None]
-            lead = (_slice_sums(partials, rows, vals, rows).prod(axis=2) * sign).ravel()
-            e = np.zeros((m - u + 1, len(lead)), dtype=np.complex128)
-            e[0] = 1.0
-            if u < m:
-                r = _slice_sums(partials, rows, vals).reshape(-1)
-                r[np.arange(0, len(r), n).reshape(len(vals), len(rows), 1) + rows] = 0.0
-                for ri in r.reshape(-1, n).T.copy():
-                    e[1:] += ri * e[:-1]
-            sums[u:] += (e * lead).sum(axis=1)
+    for u, lead, r in terms:
+        e = np.zeros((m - u + 1, len(lead)), dtype=np.complex128)
+        e[0] = 1.0
+        if u < m:
+            for ri in r:
+                e[1:] += ri * e[:-1]
+        sums[u:] += (e * lead).sum(axis=1)
     return [complex(c) for c in sums]
 
 
@@ -338,14 +430,15 @@ def zero_scan(
     0.99 / effective_lambda, just inside the disk that admissibility
     certifies to be zero-free. `threads` has no effect.
     """
-    arr = as_tensor(a)
-    report = check_dominance_tensor(arr)
-    sums = _minor_sums(arr, arr.shape[0], work_cap)
     if radial < 1 or angular < 1:
         raise ValueError("grid resolution must be positive")
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    arr = as_tensor(a)
     if radius is None:
-        lam = report.effective_lambda
+        lam = check_dominance_tensor(arr).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0
+    sums = _minor_sums(arr, arr.shape[0], work_cap)
     radii = np.linspace(0.0, radius, radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]

@@ -129,6 +129,24 @@ def test_zero_scan_emits_grid(matrix_file, cli):
     assert doc["min_modulus"] > 0
 
 
+@pytest.mark.parametrize("radius", ["nan", "-2"])
+def test_zero_scan_rejects_bad_radius(matrix_file, cli, radius):
+    code, out, err = cli("zero-scan", "--radius", radius, str(matrix_file))
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "radius" in err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_matching_stats_rejects_non_finite_lambda(tmp_path, cli, lam):
+    doc = {"d": 2, "n": 2, "edges": [[0, 0], [1, 1], [0, 1]]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = cli("matching-stats", "--lambda", lam, str(path))
+    assert code == 1
+    assert out == "" and f"lam must be finite, got {lam}" in err
+    assert "Warning" not in err
+
+
 def test_collapse_demo(tmp_path, cli):
     path = tmp_path / "c.json"
     path.write_text('{"alphas": [[1,0],[2,0],[0.5,0.5]], "zs": [[0.3,0],[0,-0.2],[1,1]]}')

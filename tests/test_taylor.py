@@ -333,6 +333,15 @@ def test_zero_scan_finds_planted_zero():
     assert rep.argmin_z == pytest.approx(1.0)
 
 
+def test_zero_scan_checks_the_grid_before_the_minor_sums():
+    a = random_admissible_matrix(6, 0.5, np.random.default_rng(45))
+    with pytest.raises(ValueError):
+        zero_scan(a, radial=0, work_cap=1)
+    for radius in (-2.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            zero_scan(a, radius=radius, work_cap=1)
+
+
 def test_zero_scan_admissible_is_zero_free():
     rng = np.random.default_rng(44)
     m = random_admissible_matrix(6, 0.5, rng)
