@@ -20,6 +20,7 @@ from .core import (
     ApproxConfig,
     InadmissibleInputError,
     SizeCapError,
+    _entries_from_json,
     identity_tensor,
     json_dumps,
     matrix_from_json,
@@ -28,7 +29,7 @@ from .core import (
     tensor_from_json,
     tensor_to_json,
 )
-from .dominance import check_dominance_tensor, scaled_dominance_report
+from .dominance import check_dominance_tensor, require_admissible, scaled_dominance_report
 from .exact import permanent_ryser, permanent_tensor
 from .generators import (
     block_extremal_matrix,
@@ -59,18 +60,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f'grid must look like "64x64", got {text!r}')
     return int(parts[0]), int(parts[1])
-
-
-def _pick_lambda(arr, flag: float | None) -> float:
-    """Configured dominance bound: the flag if given, else the measured one."""
-    if flag is not None:
-        return flag
-    measured = check_dominance_tensor(arr).effective_lambda
-    if measured >= 1.0:
-        raise InadmissibleInputError(
-            f"input is not admissible (effective lambda {measured:.6g} >= 1)"
-        )
-    return measured
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -126,7 +115,7 @@ def _cmd_exact(args) -> dict:
 
 def _cmd_approx(args) -> dict:
     arr = _load_array(args.input)
-    lam = _pick_lambda(arr, args.lam)
+    lam = args.lam if args.lam is not None else require_admissible(arr).effective_lambda
     cfg = ApproxConfig(lam=lam, epsilon=args.epsilon, order_override=args.order)
     result = approx_log_permanent(arr, cfg, threads=args.threads, work_cap=args.work_cap)
     print(
@@ -174,8 +163,7 @@ def _cmd_collapse_demo(args) -> dict:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or "alphas" not in obj or "zs" not in obj:
         raise ValueError('collapse input must have keys "alphas" and "zs"')
-    alphas = np.array([complex(re, im) for re, im in obj["alphas"]])
-    zs = np.array([complex(re, im) for re, im in obj["zs"]])
+    alphas, zs = _entries_from_json(obj["alphas"]), _entries_from_json(obj["zs"])
     out = collapse(alphas, zs)
     return {
         "z_star": [pair(z) for z in out],
@@ -187,6 +175,8 @@ def _cmd_collapse_demo(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    if args.n < 1:
+        raise ValueError(f"--n must be positive, got {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "block":
         sign = 1 if args.sign == "plus" else -1

@@ -62,18 +62,12 @@ class ApproxConfig:
             raise ValueError("order_override must be non-negative")
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite entries (NaN or Inf) are not admitted")
-
-
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a square complex matrix."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    _require_finite(arr)
-    return arr
+    return as_tensor(arr)
 
 
 def as_tensor(a) -> np.ndarray:
@@ -84,7 +78,8 @@ def as_tensor(a) -> np.ndarray:
     n = arr.shape[0]
     if any(s != n for s in arr.shape):
         raise ValueError(f"expected a cubical tensor, got shape {arr.shape}")
-    _require_finite(arr)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries (NaN or Inf) are not admitted")
     return arr
 
 
@@ -99,16 +94,18 @@ def identity_tensor(d: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     arr = np.zeros((n,) * d, dtype=np.complex128)
-    for i in range(n):
-        arr[(i,) * d] = 1.0
+    arr[diagonal_index(d, n)] = 1.0
     return arr
+
+
+def diagonal_index(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """Index of the diagonal entries (i, ..., i) of an n^d array."""
+    return (np.arange(n),) * d
 
 
 def diagonal_entries(t: np.ndarray) -> np.ndarray:
     """The entries t[i, ..., i] for i = 0..n-1."""
-    n = t.shape[0]
-    idx = np.arange(n)
-    return t[tuple(idx for _ in range(t.ndim))]
+    return t[diagonal_index(t.ndim, t.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +118,21 @@ def pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _entries_from_json(raw, count: int) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != count:
-        raise ValueError(f"entries must be a list of length {count}")
-    out = np.empty(count, dtype=np.complex128)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _entries_from_json(raw, count: int | None = None) -> np.ndarray:
+    """Wire pairs [re, im] as a complex vector, of length `count` if given."""
+    if not isinstance(raw, list) or count not in (None, len(raw)):
+        length = "" if count is None else f" of length {count}"
+        raise ValueError(f"entries must be a list{length}")
+    out = np.empty(len(raw), dtype=np.complex128)
     for i, item in enumerate(raw):
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
+            or not all(isinstance(v, float) or _is_int(v) for v in item)
         ):
             raise ValueError(f"entry {i} must be a pair [re, im] of numbers")
         re, im = float(item[0]), float(item[1])
@@ -139,14 +142,30 @@ def _entries_from_json(raw, count: int) -> np.ndarray:
     return out
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
-        raise ValueError('matrix JSON must have keys "n" and "entries"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+def json_header(obj, kind: str, body: str, d: int | None = None) -> tuple[int, int]:
+    """(d, n) of a `kind` JSON object with keys "d", "n" and `body`.
+
+    A fixed `d` (2 for a matrix) is not read from the object.
+    """
+    keys = ("n", body) if d else ("d", "n", body)
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        *head, last = (f'"{k}"' for k in keys)
+        raise ValueError(f"{kind} JSON must have keys {', '.join(head)} and {last}")
+    d, n = d or obj["d"], obj["n"]
+    if not _is_int(d) or d < 2:
+        raise ValueError('"d" must be an integer >= 2')
+    if not _is_int(n) or n < 1:
         raise ValueError('"n" must be a positive integer')
-    entries = _entries_from_json(obj["entries"], n * n)
-    return entries.reshape(n, n)
+    return d, n
+
+
+def _array_from_json(obj, kind: str, d: int | None = None) -> np.ndarray:
+    d, n = json_header(obj, kind, "entries", d)
+    return _entries_from_json(obj["entries"], n**d).reshape((n,) * d)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    return _array_from_json(obj, "matrix", 2)
 
 
 def matrix_to_json(a) -> dict:
@@ -155,15 +174,7 @@ def matrix_to_json(a) -> dict:
 
 
 def tensor_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or any(k not in obj for k in ("d", "n", "entries")):
-        raise ValueError('tensor JSON must have keys "d", "n" and "entries"')
-    d, n = obj["d"], obj["n"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError('"d" must be an integer >= 2')
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError('"n" must be a positive integer')
-    entries = _entries_from_json(obj["entries"], n**d)
-    return entries.reshape((n,) * d)
+    return _array_from_json(obj, "tensor")
 
 
 def tensor_to_json(t) -> dict:

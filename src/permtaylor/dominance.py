@@ -32,6 +32,7 @@ from .core import (
     as_matrix,
     as_tensor,
     diagonal_entries,
+    diagonal_index,
 )
 
 
@@ -96,6 +97,16 @@ def check_dominance_tensor(a) -> DominanceReport:
     return _report(sums, zero_diag)
 
 
+def require_admissible(a) -> DominanceReport:
+    """check_dominance_tensor's report, or InadmissibleInputError if lambda >= 1."""
+    report = check_dominance_tensor(a)
+    if not report.admissible:
+        raise InadmissibleInputError(
+            f"input is not admissible (effective lambda {report.effective_lambda:.6g} >= 1)"
+        )
+    return report
+
+
 def scaled_dominance_report(b) -> DominanceReport:
     """Off-diagonal mass of each row of a general matrix B relative to |b_ii|.
 
@@ -146,17 +157,12 @@ def strip_diagonal(a) -> NormalizedProblem:
     row mass is below 1 - |a_ii| <= |1 + a_ii|.
     """
     arr = as_tensor(a)
-    report_in = check_dominance_tensor(arr)
-    if not report_in.admissible:
-        raise InadmissibleInputError(
-            f"input is not admissible (effective lambda {report_in.effective_lambda:.6g} >= 1)"
-        )
+    require_admissible(arr)
     n = arr.shape[0]
     diag = diagonal_entries(arr)
     factors = 1.0 + diag
     shape = (n,) + (1,) * (arr.ndim - 1)
     out = arr / factors.reshape(shape)
-    idx = tuple(np.arange(n) for _ in range(arr.ndim))
-    out[idx] = 0.0
+    out[diagonal_index(arr.ndim, n)] = 0.0
     log_prefactor = complex(np.sum(np.log(factors)))
     return NormalizedProblem(out, log_prefactor, check_dominance_tensor(out))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SizeCapError, as_matrix, as_tensor
+from .core import SizeCapError, as_matrix, as_tensor, diagonal_index
 from .summation import ComplexNeumaier
 
 DEFINITIONAL_CAP = 10
@@ -223,7 +223,7 @@ def exact_log_permanent(
     d, n = arr.ndim, arr.shape[0]
     if d > 2 and math.factorial(n) ** (d - 1) > product_cap:
         raise SizeCapError("tensor too large for branch tracking")
-    diag = tuple(np.arange(n) for _ in range(d))
+    diag = diagonal_index(d, n)
 
     def value_at(z: float) -> complex:
         scaled = z * arr
@@ -253,10 +253,7 @@ def exact_log_permanent(
 
 def principal_submatrix(a, subset: Sequence[int]) -> np.ndarray:
     """Submatrix of the rows and columns indexed by `subset`."""
-    arr = as_matrix(a)
-    s = check_subset(subset, arr.shape[0])
-    idx = np.asarray(s, dtype=np.intp)
-    return arr[np.ix_(idx, idx)]
+    return principal_subtensor(as_matrix(a), subset)
 
 
 def principal_subtensor(t, subset: Sequence[int]) -> np.ndarray:

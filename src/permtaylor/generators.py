@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import diagonal_index
 from .hypergraph import DPartiteHypergraph
 
 
@@ -32,22 +33,18 @@ def random_admissible_matrix(
     n: int, lam: float, rng: np.random.Generator, zero_diag: bool = False
 ) -> np.ndarray:
     """Random complex matrix with every row sum in [0.8, 0.999] * lam."""
-    m = _complex_normal(rng, (n, n))
-    if zero_diag:
-        np.fill_diagonal(m, 0.0)
-    targets = lam * rng.uniform(0.8, 0.999, size=n)
-    sums = np.abs(m).sum(axis=1)
-    m *= (targets / sums)[:, None]
-    return m
+    return random_admissible_tensor(2, n, lam, rng, zero_diag)
 
 
 def random_admissible_tensor(
     d: int, n: int, lam: float, rng: np.random.Generator, zero_diag: bool = False
 ) -> np.ndarray:
     """Random complex tensor with every axis-0 slice mass in [0.8, 0.999] * lam."""
+    if zero_diag and n < 2:
+        raise ValueError("a zero-diagonal array needs n >= 2 to carry any mass")
     t = _complex_normal(rng, (n,) * d)
     if zero_diag:
-        t[tuple(np.arange(n) for _ in range(d))] = 0.0
+        t[diagonal_index(d, n)] = 0.0
     targets = lam * rng.uniform(0.8, 0.999, size=n)
     sums = np.abs(t).reshape(n, -1).sum(axis=1)
     t *= (targets / sums).reshape((n,) + (1,) * (d - 1))

@@ -31,6 +31,8 @@ from .core import (
     InadmissibleInputError,
     InvalidMatchingError,
     SizeCapError,
+    diagonal_index,
+    json_header,
     pair,
 )
 from .dominance import check_dominance_tensor
@@ -92,13 +94,7 @@ def _edge_from_json(e) -> Edge:
 
 def hypergraph_from_json(obj) -> tuple[DPartiteHypergraph, list[Edge] | None]:
     """Parse {"d", "n", "edges", optional "m0"}; returns (graph, m0 or None)."""
-    if not isinstance(obj, dict) or any(k not in obj for k in ("d", "n", "edges")):
-        raise ValueError('hypergraph JSON must have keys "d", "n" and "edges"')
-    d, n = obj["d"], obj["n"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError('"d" must be an integer >= 2')
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError('"n" must be a positive integer')
+    d, n = json_header(obj, "hypergraph", "edges")
     h = DPartiteHypergraph(d, n, tuple(_edge_from_json(e) for e in obj["edges"]))
     m0 = None
     if "m0" in obj and obj["m0"] is not None:
@@ -235,8 +231,7 @@ def matching_stats(
     degs = h.first_part_degrees()
     delta = max(degs)
     t = encode_tensor(h)
-    idx = tuple(np.arange(h.n) for _ in range(h.d))
-    t[idx] = 0.0
+    t[diagonal_index(h.d, h.n)] = 0.0
     t *= lam * lam
     report = check_dominance_tensor(t)
     if not report.admissible:

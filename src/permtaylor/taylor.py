@@ -37,10 +37,12 @@ from .core import (
     as_tensor,
     pair,
 )
-from .dominance import check_dominance_tensor
+from .dominance import check_dominance_tensor, require_admissible
 from .summation import ComplexNeumaier
 
 WORK_CAP = 10**9
+# largest Taylor order: 171! and the f_derivs beyond it overflow a float
+MAX_ORDER = 170
 # entries in the engine's largest per-block temporary
 BLOCK_ENTRIES = 1 << 16
 
@@ -380,14 +382,11 @@ def approx_log_permanent(
     ln per(I) = 0 along z in [0, 1]. The measured effective lambda must
     not exceed cfg.lam; when it is smaller it replaces cfg.lam in both
     the order selection and the certified bound (tighter at no cost).
+    An order above MAX_ORDER raises SizeCapError before any minor sum.
     `threads` has no effect; it is kept for the determinism contract.
     """
     arr = as_tensor(a)
-    report = check_dominance_tensor(arr)
-    if not report.admissible:
-        raise InadmissibleInputError(
-            f"input is not admissible (effective lambda {report.effective_lambda:.6g} >= 1)"
-        )
+    report = require_admissible(arr)
     if report.effective_lambda > cfg.lam:
         raise InadmissibleInputError(
             f"measured effective lambda {report.effective_lambda:.6g} exceeds "
@@ -399,6 +398,8 @@ def approx_log_permanent(
         m = cfg.order_override
     else:
         m = choose_order(n, lam, cfg.epsilon)
+    if m > MAX_ORDER:
+        raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
     g = perm_poly_derivs(arr, m_g, work_cap=work_cap) + [complex(0.0)] * (m - m_g)

@@ -159,6 +159,24 @@ def test_collapse_demo(tmp_path, cli):
     assert math.hypot(before[0] - after[0], before[1] - after[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("field,item", [("alphas", "[true, false]"), ("zs", '["1", 0]')])
+def test_collapse_demo_rejects_non_numbers(tmp_path, cli, field, item):
+    doc = {"alphas": "[[1, 0]]", "zs": "[[0.5, 0]]"}
+    doc[field] = f"[{item}]"
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"alphas": {doc["alphas"]}, "zs": {doc["zs"]}}}')
+    code, out, err = cli("collapse-demo", str(path))
+    assert code == 1
+    assert out == "" and "entry 0 must be a pair [re, im] of numbers" in err
+
+
+@pytest.mark.parametrize("kind", ["matrix", "block", "tensor", "dominant"])
+def test_gen_rejects_empty_instances(cli, kind):
+    code, out, err = cli("gen", kind, "--n", "0")
+    assert code == 1
+    assert out == "" and "--n must be positive" in err
+
+
 def test_exit_code_parse_error(tmp_path, cli):
     missing = tmp_path / "nope.json"
     code, _, err = cli("exact", str(missing))
@@ -210,6 +228,18 @@ def test_exit_code_size_cap(tmp_path, cli):
     path.write_text(out)
     code, _, _ = cli("exact", "--work-cap", "10", str(path))
     assert code == 3
+
+
+def test_orders_above_170_exit_with_size_cap(tmp_path, cli):
+    code, out, _ = cli("gen", "block", "--n", "6", "--lambda", "0.98")
+    path = tmp_path / "b.json"
+    path.write_text(out)
+    code, out, err = cli("approx", str(path))
+    assert code == 3
+    assert out == "" and "m = 239 is above the limit of 170" in err
+    code, out, err = cli("approx", "--order", "170", str(path))
+    assert code == 0, err
+    assert json.loads(out)["m"] == 170
 
 
 def test_output_round_trips_through_parser(matrix_file, cli):

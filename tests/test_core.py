@@ -6,6 +6,7 @@ import pytest
 
 from permtaylor import (
     ApproxConfig,
+    hypergraph_from_json,
     identity_matrix,
     identity_tensor,
     json_dumps,
@@ -84,6 +85,32 @@ def test_json_rejects_bad_shapes():
         tensor_from_json({"d": 1, "n": 2, "entries": [[1, 0], [1, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"entries": [[1, 0]]})
+
+
+N_MESSAGE = '"n" must be a positive integer'
+D_MESSAGE = '"d" must be an integer >= 2'
+
+
+@pytest.mark.parametrize(
+    "parse,body",
+    [(matrix_from_json, "entries"), (tensor_from_json, "entries"), (hypergraph_from_json, "edges")],
+    ids=["matrix", "tensor", "hypergraph"],
+)
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("n", True, N_MESSAGE), ("n", 0, N_MESSAGE), ("d", True, D_MESSAGE), ("d", 1, D_MESSAGE)],
+    ids=["n-bool", "n-zero", "d-bool", "d-one"],
+)
+def test_json_headers_reject_bad_d_and_n_alike(parse, body, key, value, message):
+    doc = {"d": 2, "n": 1, body: [[0, 0]]}
+    doc[key] = value
+    if parse is matrix_from_json and key == "d":
+        # the matrix parser fixes d = 2 and never reads the key
+        assert parse(doc).shape == (1, 1)
+        return
+    with pytest.raises(ValueError) as exc:
+        parse(doc)
+    assert str(exc.value) == message
 
 
 def test_json_dumps_round_trips_floats():

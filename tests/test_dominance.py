@@ -156,3 +156,11 @@ def test_report_json_schema():
     doc = check_dominance_matrix(np.zeros((2, 2))).to_json()
     assert set(doc) == {"row_sums", "effective_lambda", "admissible", "form"}
     assert doc["admissible"] is True
+
+
+def test_zero_diagonal_generators_need_two_rows():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n >= 2"):
+        random_admissible_matrix(1, 0.5, rng, zero_diag=True)
+    with pytest.raises(ValueError, match="n >= 2"):
+        random_admissible_tensor(3, 1, 0.5, rng, zero_diag=True)
