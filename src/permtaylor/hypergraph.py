@@ -48,8 +48,9 @@ Edge = tuple[int, ...]
 class DPartiteHypergraph:
     """d parts of n vertices; each edge takes exactly one vertex per part.
 
-    Edges are stored sorted lexicographically, which fixes the enumeration
-    order everywhere downstream.
+    An edge is a list or tuple of integer vertex labels, as in the JSON
+    format. Edges are stored as tuples sorted lexicographically, which
+    fixes the enumeration order everywhere downstream.
     """
 
     d: int
@@ -61,16 +62,17 @@ class DPartiteHypergraph:
             raise ValueError("d must be at least 2")
         if self.n < 1:
             raise ValueError("n must be positive")
+        edges = tuple(_edge(e) for e in self.edges)
         seen = set()
-        for e in self.edges:
+        for e in edges:
             if len(e) != self.d:
                 raise ValueError(f"edge {e} does not have one vertex per part")
-            if not all(isinstance(v, int) and 0 <= v < self.n for v in e):
+            if not all(0 <= v < self.n for v in e):
                 raise ValueError(f"edge {e} has a vertex outside [0, {self.n})")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def first_part_degrees(self) -> list[int]:
         degs = [0] * self.n
@@ -79,15 +81,17 @@ class DPartiteHypergraph:
         return degs
 
     def has_diagonal_matching(self) -> bool:
-        return all((i,) * self.d in set(self.edges) for i in range(self.n))
+        edges = set(self.edges)
+        return all((i,) * self.d in edges for i in range(self.n))
 
     def to_json(self) -> dict:
         return {"d": self.d, "n": self.n, "edges": [list(e) for e in self.edges]}
 
 
-def _edge_from_json(e) -> Edge:
-    """An edge read from JSON: a list of integer vertex labels, taken as is."""
-    if not isinstance(e, list) or any(type(v) is not int for v in e):
+def _edge(e) -> Edge:
+    """e as an edge: a list or tuple of integer vertex labels (an int, not a
+    bool), taken as is."""
+    if not isinstance(e, (list, tuple)) or any(type(v) is not int for v in e):
         raise ValueError(f"edge {e!r} must be a list of integer vertex labels")
     return tuple(e)
 
@@ -95,10 +99,10 @@ def _edge_from_json(e) -> Edge:
 def hypergraph_from_json(obj) -> tuple[DPartiteHypergraph, list[Edge] | None]:
     """Parse {"d", "n", "edges", optional "m0"}; returns (graph, m0 or None)."""
     d, n = json_header(obj, "hypergraph", "edges")
-    h = DPartiteHypergraph(d, n, tuple(_edge_from_json(e) for e in obj["edges"]))
+    h = DPartiteHypergraph(d, n, tuple(obj["edges"]))
     m0 = None
     if "m0" in obj and obj["m0"] is not None:
-        m0 = [_edge_from_json(e) for e in obj["m0"]]
+        m0 = [_edge(e) for e in obj["m0"]]
     return h, m0
 
 
@@ -142,7 +146,7 @@ def normalize_base_matching(h: DPartiteHypergraph, m0) -> DPartiteHypergraph:
     the first consistent relabeling in first-part order, and any valid one
     yields identical matching statistics.
     """
-    m0_edges = [tuple(int(v) for v in e) for e in m0]
+    m0_edges = [_edge(e) for e in m0]
     edge_set = set(h.edges)
     if len(m0_edges) != h.n or len(set(m0_edges)) != h.n:
         raise InvalidMatchingError(f"m0 must consist of {h.n} distinct edges")

@@ -103,8 +103,9 @@ def taylor_tail_bound(n: int, lam: float, m: int) -> float:
 def choose_order(n: int, lam: float, epsilon: float) -> int:
     """Minimal Taylor order m whose tail bound is at most epsilon.
 
-    Scans m = 0, 1, 2, ...; the bound tends to 0 for lam < 1, so the scan
-    terminates, and m stays small (tens) at any desk scale.
+    The bound falls strictly with m and tends to 0 for lam < 1, so doubling
+    m brackets the answer and bisection finds it: O(log m) evaluations,
+    also for lam close to 1, where m runs to millions.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -112,10 +113,13 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    m = 0
-    while taylor_tail_bound(n, lam, m) > epsilon:
-        m += 1
-    return m
+    lo, hi = -1, 0  # the bound is above epsilon at lo (if lo >= 0), within it at hi
+    while taylor_tail_bound(n, lam, hi) > epsilon:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if taylor_tail_bound(n, lam, mid) > epsilon else (lo, mid)
+    return hi
 
 
 def minor_sum_work(n: int, d: int, m: int) -> int:
@@ -146,13 +150,13 @@ def _block_sizes(n: int, p: int, u: int) -> tuple[int, int]:
     """Most co-subsets and most patterns in one block at co-subset size u.
 
     A matrix block carries K x n row sums. A tensor block meets P patterns
-    and gathers u^(d-1) partial sums for each of its K n slice sums. The
-    sizes keep those temporaries below BLOCK_ENTRIES and depend on
-    (n, p, u) alone, which fixes the block layout.
+    and gathers (u + 1)^(d-1) padded entries for each of its K n slice
+    sums. The sizes keep those temporaries below BLOCK_ENTRIES and depend
+    on (n, p, u) alone, which fixes the block layout.
     """
     if p == 1:
         return max(1, min(1024, BLOCK_ENTRIES // n)), 1
-    width = max(1, u) ** p.bit_length()
+    width = (u + 1) ** p.bit_length()
     npb = min(p**u, max(1, BLOCK_ENTRIES // width))
     return max(1, BLOCK_ENTRIES // (n * max(width, npb))), npb
 
@@ -201,41 +205,32 @@ def _pattern_blocks(p: int, u: int, step: int):
         yield q[:, None] // weights % p + 1
 
 
-def _hit_matrices(partials, vals: np.ndarray) -> list[np.ndarray]:
-    """For each axis set B of partials[1:], the 0/1 matrix (P x u^|B|) whose
-    entry [j, (q_1, ..., q_b)] is 1 when pattern vals[j] removes row q_t of
-    U from axis B_t for every t."""
-    npat = len(vals)
-    # each set extends the set without its last axis, which comes earlier
-    hits = {(): np.ones((npat, 1))}
-    for axes, _ in partials[1:]:
-        h = hits[axes[:-1]][:, :, None] * ((vals >> axes[-1]) & 1)[:, None, :]
-        hits[axes] = h.reshape(npat, -1)
-    return [hits[axes] for axes, _ in partials[1:]]
+def _pattern_weights(hits: np.ndarray) -> np.ndarray:
+    """w[j] = tensor product over the axes t of (-hits[t, j, q] for q in U, then 1).
 
-
-def _slice_sums(partials, hits, rows: np.ndarray, at=None) -> np.ndarray:
-    """r[j, k, w] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for row i = at[k, w].
-
-    S_t drops the rows of co-subset rows[:, k] whose pattern j has bit t set;
-    without `at`, r covers every row i = w. Writing [j_t in S_t] as
-    1 - [j_t in T_t] makes r an alternating sum over axis sets B of the
-    partial sums at removed indices; the hit matrices of _hit_matrices
-    weigh them for all patterns in one product.
+    hits[t, j, q] is 1 when pattern j removes row q of U from axis t. Entry
+    (q_0, ..., q_{d-2}) of w[j], in base u + 1, weighs the padded array's
+    entry at those rows of U, with q_t = u for the slot n.
     """
-    (u, nk), npat = rows.shape, len(hits[0])
-    full = partials[0][1]
-    tail, pad, width = (slice(None), (), len(full)) if at is None else (at, (1,), at.shape[1])
-    r = np.empty((npat, nk, width), dtype=np.complex128)
-    r[...] = full[tail]
-    for (axes, part), h in zip(partials[1:], hits) if u else ():
-        b = len(axes)
-        shape = [(1,) * i + (u,) + (1,) * (b - 1 - i) for i in range(b)]
-        gathered = part[tuple(rows.reshape(s + (nk,) + pad) for s in shape) + (tail,)]
-        term = h @ gathered.view(np.float64).reshape(u**b, -1)
-        term = term.view(np.complex128).reshape(r.shape)
-        r += -term if b % 2 else term
-    return r
+    axes, npat, u = hits.shape
+    f = np.ones((axes, npat, u + 1))
+    f[:, :, :u] = -hits
+    w = f[-1]
+    for ft in f[-2::-1]:
+        w = (ft[:, :, None] * w[:, None, :]).reshape(npat, -1)
+    return w
+
+
+def _slice_sums(ext: np.ndarray, w: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """r[q, j, k] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for the q-th row i of at.
+
+    S_t drops the rows of co-subset k that pattern j removes from axis t.
+    at[q, :, k] are the offsets in the flat padded array ext of row i at
+    every tuple of rows of U and slot n. Writing [j_t in S_t] as
+    1 - [j_t in T_t] makes r those entries weighed by _pattern_weights:
+    one gather and one product for every pattern.
+    """
+    return (w @ ext.take(at).view(np.float64)).view(np.complex128)
 
 
 def _matrix_terms(a: np.ndarray, m: int):
@@ -269,31 +264,35 @@ def _tensor_terms(arr: np.ndarray, m: int):
     """(u, lead, r) for each (co-subset block, pattern block) of a d >= 3 tensor.
 
     A removed index's slice depends on the sets removed on the other axes,
-    so the slice sums come from the partial-sum expansion of _slice_sums
-    rather than from the parent's.
+    so the slice sums come from the padded array of _slice_sums rather
+    than from the parent's. Its slot n on each permutation axis holds the
+    sum over that axis; padding the axes one after another also fills the
+    mixed partial sums.
     """
     d, n = arr.ndim, arr.shape[0]
     p = (1 << (d - 1)) - 1
-    # (B, a summed over the permutation axes outside B, row axis last)
-    partials = []
-    for b in range(p + 1):
-        axes = tuple(t for t in range(d - 1) if b >> t & 1)
-        part = arr.sum(axis=tuple(1 + t for t in range(d - 1) if t not in axes))
-        partials.append((axes, np.ascontiguousarray(np.moveaxis(part, 0, -1))))
+    ext = arr
+    for t in range(1, d):
+        ext = np.concatenate((ext, ext.sum(axis=t, keepdims=True)), axis=t)
+    ext, stride = ext.ravel(), (n + 1) ** (d - 1)
     sizes = [_block_sizes(n, p, u) for u in range(m + 1)]
     for rows, _ in _co_subset_blocks(n, m, [cap for cap, _ in sizes]):
-        (u, k), at = rows.shape, np.ascontiguousarray(rows.T)
+        u, k = rows.shape
+        # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
+        ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
+        for _ in range(d - 1):
+            slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
         for vals in _pattern_blocks(p, u, sizes[u][1]):
-            hits = _hit_matrices(partials, vals)
-            removed = sum(((vals >> t) & 1).sum(axis=1) for t in range(d - 1))
-            sign = np.where(removed % 2, -1.0, 1.0)[:, None]
-            lead = (_slice_sums(partials, hits, rows, at).prod(axis=2) * sign).ravel()
+            hits = (vals >> np.arange(d - 1)[:, None, None]) & 1
+            w = _pattern_weights(hits)
+            sign = np.where(hits.sum(axis=(0, 2)) % 2, -1.0, 1.0)[:, None]
+            lead = _slice_sums(ext, w, rows[:, None] * stride + slots).prod(axis=0)
             r = None
             if u < m:
-                r = _slice_sums(partials, hits, rows).reshape(-1)
-                r[np.arange(0, len(r), n).reshape(len(vals), k, 1) + at] = 0.0
-                r = r.reshape(-1, n).T.copy()
-            yield u, lead, r
+                r = _slice_sums(ext, w, np.arange(n)[:, None, None] * stride + slots)
+                r[rows, :, np.arange(k)] = 0.0
+                r = r.reshape(n, -1)
+            yield u, (lead * sign).ravel(), r
 
 
 def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:

@@ -230,6 +230,16 @@ def test_exit_code_size_cap(tmp_path, cli):
     assert code == 3
 
 
+def test_exact_matrix_respects_work_cap(tmp_path, cli):
+    # Ryser's Gray-code walk over n = 12 takes n 2^n = 49,152 steps
+    code, out, _ = cli("gen", "matrix", "--n", "12", "--seed", "0")
+    path = tmp_path / "m.json"
+    path.write_text(out)
+    code, out, err = cli("exact", "--work-cap", "1000", str(path))
+    assert code == 3
+    assert out == "" and "cap is 1000" in err
+
+
 def test_orders_above_170_exit_with_size_cap(tmp_path, cli):
     code, out, _ = cli("gen", "block", "--n", "6", "--lambda", "0.98")
     path = tmp_path / "b.json"

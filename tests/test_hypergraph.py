@@ -48,6 +48,21 @@ def test_from_json_rejects_non_integer_labels(bad):
             hypergraph_from_json(doc)
 
 
+@pytest.mark.parametrize("bad", [0.9, "0", True])
+def test_library_edges_need_integer_labels(bad):
+    h = DPartiteHypergraph(3, 2, _diag(3, 2))
+    with pytest.raises(ValueError, match="integer vertex labels"):
+        normalize_base_matching(h, [(bad, 0, 0), (1, 1, 1)])
+    with pytest.raises(ValueError, match="integer vertex labels"):
+        DPartiteHypergraph(3, 2, ((bad, bad, bad), (1, 1, 1)))
+
+
+def test_library_edges_may_be_lists():
+    h = DPartiteHypergraph(3, 2, ([1, 1, 1], [0, 0, 0]))
+    assert h.edges == ((0, 0, 0), (1, 1, 1))
+    assert normalize_base_matching(h, [[0, 0, 0], [1, 1, 1]]).edges == h.edges
+
+
 def test_encode_diagonal_is_identity():
     h = DPartiteHypergraph(3, 3, _diag(3, 3))
     assert np.array_equal(encode_tensor(h), identity_tensor(3, 3))

@@ -51,7 +51,9 @@ def _oracle_sums(a):
     return sums
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)]
+)
 def test_matches_principal_subarray_permanents(d, n):
     a = _array(d, n, 100 * d + n)
     want = _oracle_sums(a)
@@ -73,6 +75,19 @@ def test_matrix_levels_spanning_several_blocks_match_ryser():
         subsets = itertools.combinations(range(n), k)
         want = sum(permanent_ryser(principal_submatrix(a, s)) for s in subsets)
         assert abs(g[k] / math.factorial(k) - want) <= 1e-13 * (1 + abs(want)), k
+
+
+def test_tensor_levels_spanning_several_blocks_match_permanents():
+    # at n = 12 the walk splits the 220 co-subsets of order 3 over two blocks
+    n, m = 12, 3
+    a = _array(3, n, 12)
+    g = perm_poly_derivs(a, m)
+    assert g[0] == 1
+    for k in range(1, m + 1):
+        subsets = itertools.combinations(range(n), k)
+        want = sum(permanent_tensor(principal_subtensor(a, s)) for s in subsets)
+        assert abs(g[k] / math.factorial(k) - want) <= 1e-13 * (1 + abs(want)), k
+        assert perm_poly_derivs(a, k - 1) == g[:k]
 
 
 @pytest.mark.parametrize("d,n", [(2, 7), (3, 4), (4, 3)])

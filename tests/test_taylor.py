@@ -9,11 +9,13 @@ Independent oracles used here:
   * branch-tracked exact log-permanents for the end-to-end bound.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import permtaylor.taylor as taylor
 from permtaylor import (
     ApproxConfig,
     InadmissibleInputError,
@@ -70,6 +72,26 @@ def test_choose_order_is_minimal():
         assert taylor_tail_bound(n, lam, m) <= eps
         if m > 0:
             assert taylor_tail_bound(n, lam, m - 1) > eps
+
+
+def test_choose_order_bisects_orders_near_one(monkeypatch):
+    calls = []
+
+    def counted(n, lam, m):
+        calls.append(m)
+        return taylor_tail_bound(n, lam, m)
+
+    monkeypatch.setattr(taylor, "taylor_tail_bound", counted)
+    assert choose_order(6, 0.9999999, 0.01) == 48234416
+    assert len(calls) < 100
+
+
+def test_choose_order_equals_linear_scan():
+    for n, lam, eps in itertools.product([1, 3, 20], [0.0, 0.1, 0.5, 0.9, 0.99], [0.5, 1e-3, 1e-9]):
+        m = 0
+        while taylor_tail_bound(n, lam, m) > eps:
+            m += 1
+        assert choose_order(n, lam, eps) == m, (n, lam, eps)
 
 
 def test_tail_bound_strictly_decreasing():
