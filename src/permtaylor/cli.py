@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -123,9 +124,10 @@ def _cmd_approx(args) -> dict:
     lam = args.lam if args.lam is not None else require_admissible(arr).effective_lambda
     cfg = ApproxConfig(lam=lam, epsilon=args.epsilon, order_override=args.order)
     result = approx_log_permanent(arr, cfg, threads=args.threads, work_cap=args.work_cap)
+    sizes = result.components
     print(
-        f"n = {arr.shape[0]}, order m = {result.order_m}, "
-        f"certified bound {result.error_bound:.3g}",
+        f"n = {arr.shape[0]}, components {len(sizes)} (largest {max(sizes)}), "
+        f"order m = {result.order_m}, certified bound {result.error_bound:.3g}",
         file=sys.stderr,
     )
     return result.to_json()
@@ -182,6 +184,8 @@ def _cmd_collapse_demo(args) -> dict:
 def _cmd_gen(args) -> dict:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
+    if args.kind != "hypergraph" and not (math.isfinite(args.lam) and args.lam > 0):
+        raise ValueError(f"--lambda must be finite and positive, got {args.lam}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "block":
         sign = 1 if args.sign == "plus" else -1

@@ -11,8 +11,9 @@ The derivatives of g at 0 are principal-minor sums,
 
     g^(k)(0) = k! sum_{|I| = k} per A_I,
 
-computed by Ryser's inclusion-exclusion truncated at order k (see
-_minor_sums); the log-derivatives f^(k)(0) follow by forward substitution
+computed by Ryser's inclusion-exclusion truncated at order k, once for
+each strong component of the support (see _minor_sums); the
+log-derivatives f^(k)(0) follow by forward substitution
 through the triangular convolution that links a function with its
 logarithm. The identical scheme covers cubical tensors:
 PER(I + z A) also has degree at most n in z, so the same tail bound is
@@ -54,7 +55,9 @@ class TaylorResult:
     g_derivs[k] and f_derivs[k] are the k-th derivatives at 0 of
     g(z) = per(I + z A) and f = ln g; value is T_m(1) = sum f_k / k!,
     and error_bound certifies |ln per(I + A) - value| on the branch
-    continued from f(0) = 0.
+    continued from f(0) = 0. components lists the sizes of the strong
+    components that the minor sums factor over (see _components), in
+    order of their smallest vertex; it is not part of the JSON.
     """
 
     g_derivs: tuple[complex, ...]
@@ -62,6 +65,7 @@ class TaylorResult:
     order_m: int
     value: complex
     error_bound: float
+    components: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -295,7 +299,7 @@ def _tensor_terms(arr: np.ndarray, m: int):
             yield u, (lead * sign).ravel(), r
 
 
-def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
+def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
     """c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
 
     Ryser's inclusion-exclusion on each of the d - 1 permutation axes
@@ -316,11 +320,7 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
     The block layout depends on (n, d, u) alone, and the block partials are
     folded in walk order, so repeated calls give bit-identical results.
     """
-    d, n = arr.ndim, arr.shape[0]
-    work = minor_sum_work(n, d, m)
-    if work > work_cap:
-        raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
-    terms = _matrix_terms(arr, m) if d == 2 else _tensor_terms(arr, m)
+    terms = _matrix_terms(arr, m) if arr.ndim == 2 else _tensor_terms(arr, m)
     sums = np.zeros(m + 1, dtype=np.complex128)
     for u, lead, r in terms:
         e = np.zeros((m - u + 1, len(lead)), dtype=np.complex128)
@@ -330,6 +330,123 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int) -> list[complex]:
                 e[1:] += ri * e[:-1]
         sums[u:] += (e * lead).sum(axis=1)
     return [complex(c) for c in sums]
+
+
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether every vertex is reachable from vertex 0 along the arcs adj[i, j]."""
+    seen = adj[0].copy()
+    seen[0] = True
+    front = seen
+    while not seen.all():
+        front = adj[front].any(axis=0) & ~seen
+        if not front.any():
+            return False
+        seen |= front
+    return True
+
+
+def _strong_components(adj: np.ndarray) -> np.ndarray:
+    """Strong-component label of each vertex of the digraph adj[i, j].
+
+    Labels number the components in order of their smallest vertex. One
+    forward and one backward sweep from vertex 0 settle the strongly
+    connected case; otherwise Tarjan's algorithm runs, iteratively.
+    """
+    n = len(adj)
+    if _reaches_all(adj) and _reaches_all(adj.T):
+        return np.zeros(n, dtype=np.intp)
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    index, low, root = [-1] * n, [0] * n, [-1] * n
+    stack, count = [], 0
+    for start in range(n):
+        walk = [(start, 0)] if index[start] < 0 else []
+        while walk:
+            v, i = walk.pop()
+            if i == 0:
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+            if i < len(succ[v]):
+                walk.append((v, i + 1))
+                w = succ[v][i]
+                if index[w] < 0:
+                    walk.append((w, 0))
+                elif root[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            if walk:
+                low[walk[-1][0]] = min(low[walk[-1][0]], low[v])
+            if low[v] == index[v]:
+                while root[v] < 0:
+                    root[stack.pop()] = v
+    first = {}
+    return np.array([first.setdefault(r, len(first)) for r in root], dtype=np.intp)
+
+
+def _digraph(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = True
+    return adj
+
+
+def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The support's strong components: (array, vertex groups).
+
+    G_t is the digraph with an arc i -> j_t for each nonzero entry
+    a[i, j_1, ..., j_{d-1}]. Every cycle of the t-th permutation in a term
+    of PER(I + zA) is a cycle of G_t, so an entry whose j_t lies outside
+    the strong component of i in G_t is on no term. For d >= 3 such
+    entries are zeroed until none is left (pruning), which may cut cycles
+    of the other G_t. The groups are then the strong components of the
+    union of the G_t, in order of their smallest vertex, and PER(I + zA)
+    is the product of PER(I + zA_C) over the principal subarrays A_C of
+    the returned array. When there is one group, the array is arr itself.
+    """
+    d, n = arr.ndim, arr.shape[0]
+    idx = np.nonzero(arr)
+    keep = np.ones(len(idx[0]), dtype=bool)
+    while d > 2:
+        kept = keep.copy()
+        for heads in idx[1:]:
+            label = _strong_components(_digraph(n, idx[0][keep], heads[keep]))
+            kept &= label[idx[0]] == label[heads]
+        if kept.sum() == keep.sum():
+            break
+        keep = kept
+    tails = np.tile(idx[0][keep], d - 1)
+    label = _strong_components(_digraph(n, tails, np.concatenate([h[keep] for h in idx[1:]])))
+    if not label.any():
+        return arr, [np.arange(n)]
+    pruned = np.zeros_like(arr)
+    at = tuple(i[keep] for i in idx)
+    pruned[at] = arr[at]
+    return pruned, [np.flatnonzero(label == c) for c in range(label.max() + 1)]
+
+
+def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None) -> list[complex]:
+    """c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
+
+    PER(I + zA) factors over the strong components of its support
+    (_components; parts, when given, is their result for arr), so
+    _ryser_sums runs once per component C at order min(m, n_C), and the
+    cap is charged for that work. The component polynomials are
+    multiplied in component order, each coefficient summed in a fixed
+    order, which keeps lower orders a bit-exact prefix of higher ones. A
+    single component runs _ryser_sums on arr itself.
+    """
+    d = arr.ndim
+    reduced, groups = parts or _components(arr)
+    orders = [min(m, len(g)) for g in groups]
+    work = sum(minor_sum_work(len(g), d, k) for g, k in zip(groups, orders))
+    if work > work_cap:
+        raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
+    if len(groups) == 1:
+        return _ryser_sums(arr, m)
+    sums = [complex(1.0)] + [complex(0.0)] * m
+    for g, k in zip(groups, orders):
+        c = _ryser_sums(reduced[np.ix_(*(g,) * d)], k)
+        sums = [sum(c[j] * sums[i - j] for j in range(min(i, k) + 1)) for i in range(m + 1)]
+    return sums
 
 
 def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> list[complex]:
@@ -401,7 +518,9 @@ def approx_log_permanent(
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    g = perm_poly_derivs(arr, m_g, work_cap=work_cap) + [complex(0.0)] * (m - m_g)
+    parts = _components(arr)
+    sums = _minor_sums(arr, m_g, work_cap, parts)
+    g = [math.factorial(k) * sums[k] for k in range(m_g + 1)] + [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
     acc = ComplexNeumaier()
     for k in range(m + 1):
@@ -412,6 +531,7 @@ def approx_log_permanent(
         order_m=m,
         value=acc.value(),
         error_bound=taylor_tail_bound(n, lam, m),
+        components=tuple(len(group) for group in parts[1]),
     )
 
 

@@ -32,6 +32,24 @@ def test_gen_block_matches_closed_form(tmp_path, cli):
     assert per[1] == 0
 
 
+@pytest.mark.parametrize("kind", ["block", "matrix", "tensor", "dominant"])
+@pytest.mark.parametrize("lam", ["0", "-0.5", "nan"])
+def test_gen_rejects_non_positive_lambda(cli, kind, lam):
+    code, out, err = cli("gen", kind, "--n", "3", "--lambda", lam)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("error: --lambda")
+
+
+def test_approx_reports_components(tmp_path, cli):
+    code, out, _ = cli("gen", "block", "--n", "18", "--lambda", "0.4", "--sign", "minus")
+    path = tmp_path / "block.json"
+    path.write_text(out)
+    code, out, err = cli("approx", str(path))
+    assert code == 0, err
+    assert err.startswith("n = 18, components 9 (largest 2), order m = 6, ")
+
+
 def test_exact_raw_flag(tmp_path, cli):
     doc = matrix_to_json(np.array([[2.0, 0], [0, 3.0]]))
     path = tmp_path / "d.json"

@@ -6,6 +6,7 @@ the backtracking enumerator on every instance; a matching with k
 off-diagonal edges sits at distance 2k and contributes w^(2k).
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from permtaylor import (
     permanent_tensor,
 )
 from permtaylor.generators import random_hypergraph
+from permtaylor.taylor import WORK_CAP, choose_order, minor_sum_work
 
 
 def _diag(d, n):
@@ -249,3 +251,36 @@ def test_matching_stats_json_schema():
         "delta",
         "admissible",
     ]
+
+
+def test_random_hypergraph_with_only_the_base_matching_logs_to_zero(tmp_path, cli):
+    # pruning leaves no off-diagonal entry, so PER = 1; unreduced, the
+    # engine would ask for 1.35e9 ops and exit 3
+    code, out, err = cli("gen", "hypergraph", "--d", "3", "--n", "10", "--seed", "1")
+    assert code == 0, err
+    path = tmp_path / "h.json"
+    path.write_text(out)
+    code, out, err = cli("matching-stats", "--lambda", "0.6", str(path))
+    assert code == 0, err
+    assert json.loads(out)["log_value"] == [0, 0]
+    h, _ = hypergraph_from_json(json.loads(path.read_text()))
+    found = enumerate_matchings(h, max_edges=len(h.edges), max_n=h.n)
+    assert [dist for _, dist in found] == [0]
+
+
+def test_disjoint_gadgets_run_under_the_default_cap():
+    # gadget g holds vertices g, g + k and g + 2k of every part; besides
+    # the diagonal it carries the perfect matchings (v, v + 1, v + 1) and
+    # (v, v + 2, v + 1), taken mod 3
+    k, lam = 10, 0.6
+    local = [(v, v, v) for v in range(3)]
+    local += [(v, (v + 1) % 3, (v + 1) % 3) for v in range(3)]
+    local += [(v, (v + 2) % 3, (v + 1) % 3) for v in range(3)]
+    edges = tuple(tuple(g + k * v for v in e) for g in range(k) for e in local)
+    h = DPartiteHypergraph(3, 3 * k, edges)
+    m = choose_order(h.n, lam * lam * 2, 0.01)
+    assert minor_sum_work(h.n, 3, m) > WORK_CAP
+    res = matching_stats(h, lam)
+    gadget = sum(lam**dist for _, dist in enumerate_matchings(DPartiteHypergraph(3, 3, local)))
+    want = gadget**k
+    assert abs(res.value - want) <= res.relative_error_bound * want
