@@ -108,10 +108,11 @@ def _cmd_exact(args) -> dict:
         # command addresses is per(I + A)
         arr = arr + identity_tensor(arr.ndim, arr.shape[0])
     if arr.ndim == 2:
-        steps = arr.shape[0] << arr.shape[0]
+        # each Gray-code step updates n row sums and multiplies them
+        steps = arr.shape[0] ** 2 << arr.shape[0]
         if steps > args.work_cap:
             raise SizeCapError(
-                f"Ryser permanent needs n 2^n = {steps} steps, cap is {args.work_cap}"
+                f"Ryser permanent needs n^2 2^n = {steps} steps, cap is {args.work_cap}"
             )
         value = permanent_ryser(arr)
     else:

@@ -206,6 +206,11 @@ def _render(obj, out: list[str]) -> None:
         out.append(format(x, ".17g"))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
+        # a grid row or a complex pair in one join; same bytes as the items one by one
+        if not all(map(math.isfinite, obj)):
+            raise ValueError("non-finite number in JSON output")
+        out.append("[" + ", ".join(["%.17g" % v for v in obj]) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -26,6 +26,7 @@ which is kept honest by explicit work caps instead of silent truncation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .core import (
     InadmissibleInputError,
     NormalizationError,
     SizeCapError,
+    _is_int,
     as_tensor,
     pair,
 )
@@ -156,13 +158,15 @@ def _block_sizes(n: int, p: int, u: int) -> tuple[int, int]:
     A matrix block carries K x n row sums. A tensor block meets P patterns
     and gathers (u + 1)^(d-1) padded entries for each of its K n slice
     sums. The sizes keep those temporaries below BLOCK_ENTRIES and depend
-    on (n, p, u) alone, which fixes the block layout.
+    on (n, p, u) alone, which fixes the block layout. K is at most the
+    C(n, u) co-subsets there are: that splits no block differently, and
+    sizes the workspace by the blocks that can occur.
     """
     if p == 1:
-        return max(1, min(1024, BLOCK_ENTRIES // n)), 1
+        return min(math.comb(n, u), max(1, min(1024, BLOCK_ENTRIES // n))), 1
     width = (u + 1) ** p.bit_length()
     npb = min(p**u, max(1, BLOCK_ENTRIES // width))
-    return max(1, BLOCK_ENTRIES // (n * max(width, npb))), npb
+    return min(math.comb(n, u), max(1, BLOCK_ENTRIES // (n * max(width, npb)))), npb
 
 
 def _co_subset_blocks(n: int, m: int, caps):
@@ -209,94 +213,170 @@ def _pattern_blocks(p: int, u: int, step: int):
         yield q[:, None] // weights % p + 1
 
 
-def _pattern_weights(hits: np.ndarray) -> np.ndarray:
+# this thread's engine buffers, one flat array per key (see _buffers)
+_workspace = threading.local()
+
+
+def _buffers(key: str, dtype, sizes) -> list[np.ndarray]:
+    """Disjoint flat views, of the given sizes, of this thread's buffer `key`.
+
+    The buffer outlives the call and grows only when a call needs more, so
+    the engine's block temporaries reuse pages that are already mapped
+    instead of fresh ones. A request overwrites the views that the last
+    request for the same key handed out, so the engine is not re-entrant
+    within one thread.
+    """
+    buf = getattr(_workspace, key, None)
+    if buf is None or len(buf) < sum(sizes):
+        buf = np.empty(sum(sizes), dtype)
+        setattr(_workspace, key, buf)
+    views, at = [], 0
+    for size in sizes:
+        views.append(buf[at : at + size])
+        at += size
+    return views
+
+
+def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of a flat workspace view, C-ordered."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _pattern_weights(hits: np.ndarray, bufs) -> np.ndarray:
     """w[j] = tensor product over the axes t of (-hits[t, j, q] for q in U, then 1).
 
     hits[t, j, q] is 1 when pattern j removes row q of U from axis t. Entry
     (q_0, ..., q_{d-2}) of w[j], in base u + 1, weighs the padded array's
-    entry at those rows of U, with q_t = u for the slot n.
+    entry at those rows of U, with q_t = u for the slot n. The factors are
+    multiplied into the two flat buffers bufs in turn.
     """
     axes, npat, u = hits.shape
     f = np.ones((axes, npat, u + 1))
     f[:, :, :u] = -hits
     w = f[-1]
-    for ft in f[-2::-1]:
-        w = (ft[:, :, None] * w[:, None, :]).reshape(npat, -1)
+    for t, ft in enumerate(f[-2::-1]):
+        out = _shaped(bufs[t % 2], npat, u + 1, w.shape[1])
+        w = np.multiply(ft[:, :, None], w[:, None, :], out=out).reshape(npat, -1)
     return w
 
 
-def _slice_sums(ext: np.ndarray, w: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """r[q, j, k] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for the q-th row i of at.
+def _slice_sums(w: np.ndarray, entries: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r[q, j, k] = sum of a[i, j_0, ..., j_{d-2}] over j_t in S_t, for the q-th row i.
 
     S_t drops the rows of co-subset k that pattern j removes from axis t.
-    at[q, :, k] are the offsets in the flat padded array ext of row i at
-    every tuple of rows of U and slot n. Writing [j_t in S_t] as
-    1 - [j_t in T_t] makes r those entries weighed by _pattern_weights:
-    one gather and one product for every pattern.
+    entries[q, :, k] are the padded array's entries of row i at every
+    tuple of rows of U and slot n. Writing [j_t in S_t] as 1 - [j_t in T_t]
+    makes r those entries weighed by _pattern_weights: one real product
+    for every pattern, written into out.
     """
-    return (w @ ext.take(at).view(np.float64)).view(np.complex128)
+    np.matmul(w, entries.view(np.float64), out=out.view(np.float64))
+    return out
 
 
-def _matrix_terms(a: np.ndarray, m: int):
+def _matrix_terms(a: np.ndarray, m: int, sizes):
     """(u, lead, r) for each co-subset block of a matrix; see _minor_sums.
 
     A child's row sums are its parent's minus one column,
     r(U + {j}) = r(U) - a[:, j], so each block below order m costs one
     column gather per co-subset. The lead needs r only at the rows of U,
     2u gathered entries; it is formed the same way at every order, which
-    keeps lower orders a bit-exact prefix of higher ones.
+    keeps lower orders a bit-exact prefix of higher ones. Every block
+    temporary is a view of this thread's workspace.
     """
-    n = len(a)
+    n, caps = len(a), [k for k, _ in sizes]
+    wide = max(caps)
+    # a gathered column, the masked copy r, the lead's two gathers and
+    # product, then the row sums carried at sizes 1..m-1
+    regions = [n * wide, n * wide, m * wide, m * wide, wide] + [n * k for k in caps[1:m]]
+    column, masked, kept, removed, product, *levels = _buffers("terms", np.complex128, regions)
+    (index,) = _buffers("index", np.intp, [m * wide])
     # row sums (n x K) of the last block yielded at each size below m
     carry = [a.sum(axis=1)[:, None]] + [None] * m
-    for rows, parent in _co_subset_blocks(n, m, [_block_sizes(n, 1, 0)[0]] * (m + 1)):
+    for rows, parent in _co_subset_blocks(n, m, caps):
         u, k = rows.shape
         if not u:
             yield 0, np.ones(1), carry[0]
             continue
         up, last = carry[u - 1], rows[-1]
-        lead = (up.take(rows * up.shape[1] + parent) - a.take(rows * n + last)).prod(axis=0)
+        # mode="raise" would copy through a temporary; check the block once instead
+        if parent[-1] >= up.shape[1] or rows.max() >= n:
+            raise IndexError("co-subset block outside the matrix")
+        at = _shaped(index, u, k)
+        np.multiply(rows, up.shape[1], out=at)
+        at += parent
+        lead = up.take(at, out=_shaped(kept, u, k), mode="clip")
+        np.multiply(rows, n, out=at)
+        at += last
+        lead -= a.take(at, out=_shaped(removed, u, k), mode="clip")
+        lead = np.multiply.reduce(lead, axis=0, out=product[:k])
+        if u % 2:
+            np.negative(lead, out=lead)
         r = None
         if u < m:
-            carry[u] = up.take(parent, axis=1) - a.take(last, axis=1)
-            r = carry[u].copy()
+            carry[u] = up.take(parent, axis=1, out=_shaped(levels[u - 1], n, k), mode="clip")
+            carry[u] -= a.take(last, axis=1, out=_shaped(column, n, k), mode="clip")
+            r = _shaped(masked, n, k)
+            r[...] = carry[u]
             r[rows, np.arange(k)] = 0.0
-        yield u, -lead if u % 2 else lead, r
+        yield u, lead, r
 
 
-def _tensor_terms(arr: np.ndarray, m: int):
+def _tensor_terms(arr: np.ndarray, m: int, sizes):
     """(u, lead, r) for each (co-subset block, pattern block) of a d >= 3 tensor.
 
     A removed index's slice depends on the sets removed on the other axes,
-    so the slice sums come from the padded array of _slice_sums rather
-    than from the parent's. Its slot n on each permutation axis holds the
-    sum over that axis; padding the axes one after another also fills the
-    mixed partial sums.
+    so the slice sums come from a padded array rather than from the
+    parent's. Its slot n on each permutation axis holds the sum over that
+    axis; padding the axes one after another also fills the mixed partial
+    sums. A co-subset block gathers the padded entries at the rows of U
+    and slot n once, for the rows of U and, below order m, for all n rows;
+    each pattern block then weighs them (_slice_sums). Every block
+    temporary is a view of this thread's workspace.
     """
     d, n = arr.ndim, arr.shape[0]
-    p = (1 << (d - 1)) - 1
     ext = arr
     for t in range(1, d):
         ext = np.concatenate((ext, ext.sum(axis=t, keepdims=True)), axis=t)
     ext, stride = ext.ravel(), (n + 1) ** (d - 1)
-    sizes = [_block_sizes(n, p, u) for u in range(m + 1)]
+    # entries gathered, and slice sums formed, for each row of a block of each size
+    gather = [k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes)]
+    slices = [k * npb for k, npb in sizes]
+    lead_in, all_in, summed, product = _buffers(
+        "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
+    )
+    lead_at, all_at = _buffers("index", np.intp, [m * max(gather), n * max(gather)])
+    weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
+    weights = _buffers("weights", np.float64, [weight_size] * 2)
+    row_offsets = np.arange(n)[:, None, None] * stride
     for rows, _ in _co_subset_blocks(n, m, [cap for cap, _ in sizes]):
         u, k = rows.shape
+        # mode="raise" would copy through a temporary; check the block once instead
+        if u and rows.max() >= n:
+            raise IndexError("co-subset block outside the tensor")
         # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
         ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
         for _ in range(d - 1):
             slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
-        for vals in _pattern_blocks(p, u, sizes[u][1]):
+        width = len(slots)
+        at = np.add((rows * stride)[:, None], slots, out=_shaped(lead_at, u, width, k))
+        lead_entries = ext.take(at, out=_shaped(lead_in, u, width, k), mode="clip")
+        if u < m:
+            at = np.add(row_offsets, slots, out=_shaped(all_at, n, width, k))
+            all_entries = ext.take(at, out=_shaped(all_in, n, width, k), mode="clip")
+        for vals in _pattern_blocks((1 << (d - 1)) - 1, u, sizes[u][1]):
             hits = (vals >> np.arange(d - 1)[:, None, None]) & 1
-            w = _pattern_weights(hits)
+            w = _pattern_weights(hits, weights)
+            npat = len(w)
             sign = np.where(hits.sum(axis=(0, 2)) % 2, -1.0, 1.0)[:, None]
-            lead = _slice_sums(ext, w, rows[:, None] * stride + slots).prod(axis=0)
+            lead = _slice_sums(w, lead_entries, _shaped(summed, u, npat, k))
+            lead = np.multiply.reduce(lead, axis=0, out=_shaped(product, npat, k))
+            lead *= sign
             r = None
             if u < m:
-                r = _slice_sums(ext, w, np.arange(n)[:, None, None] * stride + slots)
+                r = _slice_sums(w, all_entries, _shaped(summed, n, npat, k))
                 r[rows, :, np.arange(k)] = 0.0
                 r = r.reshape(n, -1)
-            yield u, (lead * sign).ravel(), r
+            yield u, lead.ravel(), r
 
 
 def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
@@ -319,16 +399,27 @@ def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
     its tuples, the most numerous, cost O(u (u + 1)^(d-1)) whatever n is.
     The block layout depends on (n, d, u) alone, and the block partials are
     folded in walk order, so repeated calls give bit-identical results.
+
+    Every block temporary, the recurrence's included, is a view of a
+    per-thread workspace sized from _block_sizes (see _buffers), so after
+    the first call of a size the loop allocates nothing large.
     """
-    terms = _matrix_terms(arr, m) if arr.ndim == 2 else _tensor_terms(arr, m)
+    d, n = arr.ndim, arr.shape[0]
+    sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]
+    terms = _matrix_terms(arr, m, sizes) if d == 2 else _tensor_terms(arr, m, sizes)
+    width = max(k * npb for k, npb in sizes)
+    powers, step = _buffers("recurrence", np.complex128, [(m + 1) * width, m * width])
     sums = np.zeros(m + 1, dtype=np.complex128)
     for u, lead, r in terms:
-        e = np.zeros((m - u + 1, len(lead)), dtype=np.complex128)
-        e[0] = 1.0
+        e = _shaped(powers, m - u + 1, len(lead))
+        lo, hi = e[:-1], e[1:]
+        e[0], hi[...] = 1.0, 0.0
         if u < m:
+            t = _shaped(step, m - u, len(lead))
             for ri in r:
-                e[1:] += ri * e[:-1]
-        sums[u:] += (e * lead).sum(axis=1)
+                hi += np.multiply(ri, lo, out=t)
+        e *= lead
+        sums[u:] += e.sum(axis=1)
     return [complex(c) for c in sums]
 
 
@@ -454,13 +545,16 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
 
     Each is k! times the sum of permanents of the k x k principal
     subarrays; A may be a matrix or a cubical tensor (PER of principal
-    subtensors). `threads` is accepted for compatibility and has no
-    effect: the engine's block layout fixes every result.
+    subtensors). m must be an int in [0, n], the polynomial's degree.
+    `threads` is accepted for compatibility and has no effect: the
+    engine's block layout fixes every result.
     """
+    if not _is_int(m):
+        raise ValueError(f"order m must be an int, got {m!r}")
     arr = as_tensor(a)
     n = arr.shape[0]
-    if m > n:
-        raise ValueError(f"order {m} exceeds the polynomial degree {n}")
+    if not 0 <= m <= n:
+        raise ValueError(f"order m = {m} must lie in [0, {n}], the polynomial degree")
     sums = _minor_sums(arr, m, work_cap)
     return [math.factorial(k) * sums[k] for k in range(m + 1)]
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from permtaylor import cli as cli_module
 from permtaylor import json_dumps, matrix_from_json, matrix_to_json
 
 
@@ -249,13 +250,23 @@ def test_exit_code_size_cap(tmp_path, cli):
 
 
 def test_exact_matrix_respects_work_cap(tmp_path, cli):
-    # Ryser's Gray-code walk over n = 12 takes n 2^n = 49,152 steps
+    # Ryser's Gray-code walk over n = 12 takes n^2 2^n = 589,824 row-sum updates
     code, out, _ = cli("gen", "matrix", "--n", "12", "--seed", "0")
     path = tmp_path / "m.json"
     path.write_text(out)
     code, out, err = cli("exact", "--work-cap", "1000", str(path))
     assert code == 3
     assert out == "" and "cap is 1000" in err
+
+
+def test_exact_matrix_cap_charges_every_row_sum(tmp_path, monkeypatch, capsys):
+    # n = 22 needs n^2 2^n = 2.0e9 steps, above the default cap of 10^9
+    monkeypatch.setattr(cli_module, "permanent_ryser", lambda a: pytest.fail("Ryser ran"))
+    path = tmp_path / "m.json"
+    path.write_text(json_dumps(matrix_to_json(np.zeros((22, 22)))))
+    assert cli_module.run(["exact", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "n^2 2^n = 2030043136 steps, cap is 1000000000" in err
 
 
 def test_orders_above_170_exit_with_size_cap(tmp_path, cli):

@@ -6,6 +6,7 @@ import pytest
 
 from permtaylor import (
     ApproxConfig,
+    approx_log_permanent,
     hypergraph_from_json,
     identity_matrix,
     identity_tensor,
@@ -14,7 +15,9 @@ from permtaylor import (
     matrix_to_json,
     tensor_from_json,
     tensor_to_json,
+    zero_scan,
 )
+from permtaylor.generators import random_admissible_matrix
 
 
 def test_identity_matrix_small():
@@ -122,6 +125,33 @@ def test_json_dumps_round_trips_floats():
 def test_json_dumps_types():
     text = json_dumps({"a": True, "b": 3, "c": [1.5, None], "d": "s"})
     assert text == '{"a": true, "b": 3, "c": [1.5, null], "d": "s"}'
+
+
+def _floats_one_by_one(obj):
+    """obj with each float as np.float64, which json_dumps renders item by item."""
+    if isinstance(obj, dict):
+        return {k: _floats_one_by_one(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_floats_one_by_one(v) for v in obj]
+    return np.float64(obj) if type(obj) is float else obj
+
+
+def test_json_dumps_float_lists_match_item_rendering():
+    a = random_admissible_matrix(6, 0.5, np.random.default_rng(3))
+    docs = [
+        zero_scan(a).to_json(),
+        approx_log_permanent(a, ApproxConfig(lam=0.5, epsilon=0.01)).to_json(),
+        {"g_derivs": [[1.0, -0.0], [1e-300, -5e300], [0.1, 1 / 3]]},
+    ]
+    for doc in docs:
+        assert json_dumps(doc) == json_dumps(_floats_one_by_one(doc))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_json_dumps_rejects_non_finite_floats(bad):
+    for doc in ([1.0, bad], [[0.5, bad]], [1, bad], {"x": bad}):
+        with pytest.raises(ValueError, match="non-finite"):
+            json_dumps(doc)
 
 
 def test_approx_config_validation():

@@ -8,9 +8,14 @@ engine.
 
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import permtaylor.taylor as taylor
 
 from permtaylor import (
     ApproxConfig,
@@ -25,7 +30,13 @@ from permtaylor import (
     principal_subtensor,
 )
 from permtaylor.generators import random_admissible_matrix, random_admissible_tensor
-from permtaylor.taylor import WORK_CAP, _block_sizes, _co_subset_blocks, _pattern_blocks
+from permtaylor.taylor import (
+    WORK_CAP,
+    _block_sizes,
+    _co_subset_blocks,
+    _pattern_blocks,
+    _ryser_sums,
+)
 
 from conftest import run_cli
 
@@ -177,3 +188,78 @@ def test_cli_work_cap_exit_code(tmp_path):
     code, out, err = run_cli("approx", "--work-cap", "10", str(path))
     assert code == 3
     assert out == "" and "cap" in err
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _in_new_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_workspace_reuse_across_calls_keeps_every_bit():
+    # the references run in threads of their own, each on a workspace sized for it alone
+    calls = [(2, 18, 6), (3, 5, 5), (2, 4, 4), (2, 18, 6)]
+    arrays = {(d, n, m): _array(d, n, 50 + n) for d, n, m in calls}
+    want = {
+        key: _in_new_thread(lambda key=key: _bits(perm_poly_derivs(a, key[2])))
+        for key, a in arrays.items()
+    }
+    for key in calls:
+        assert _bits(perm_poly_derivs(arrays[key], key[2])) == want[key], key
+
+
+def test_threads_keep_their_workspaces_apart():
+    shapes = [(2, 18, 6), (3, 5, 5), (2, 12, 8), (4, 4, 4)]
+    cases = [(_array(d, n, 60 + n), m) for d, n, m in shapes]
+    want = [_bits(perm_poly_derivs(a, m)) for a, m in cases]
+    got = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def work(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[i].append(_bits(perm_poly_derivs(*cases[i])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[w] * 3 for w in want]
+
+
+def test_warmed_engine_call_allocates_under_a_megabyte():
+    a = _array(2, 18, 18)
+    _ryser_sums(a, 6)
+    tracemalloc.start()
+    try:
+        _ryser_sums(a, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_outside_the_array_raises(monkeypatch, d):
+    # the gathers clip their indices, so the engine checks each block itself
+    def walk(n, m, caps):
+        yield np.zeros((0, 1), dtype=np.intp), None
+        yield np.array([[n]]), np.zeros(1, dtype=np.intp)
+
+    monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
+    with pytest.raises(IndexError):
+        _ryser_sums(_array(d, 4, 1), 2)

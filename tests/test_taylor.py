@@ -147,6 +147,16 @@ def test_poly_derivs_rejects_order_beyond_degree():
         perm_poly_derivs(np.zeros((3, 3)), 4)
 
 
+@pytest.mark.parametrize("m", [-1, True, 2.5])
+def test_poly_derivs_rejects_orders_that_are_not_ints_in_range(monkeypatch, m):
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(taylor, "_minor_sums", engine)
+    with pytest.raises(ValueError, match="order m"):
+        perm_poly_derivs(np.zeros((3, 3)), m)
+
+
 def test_poly_derivs_threads_bit_identical():
     rng = np.random.default_rng(34)
     m = random_admissible_matrix(8, 0.5, rng)
