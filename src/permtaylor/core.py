@@ -13,6 +13,8 @@ the index tuple (i1, ..., id). All indices are 0-based.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +60,11 @@ class ApproxConfig:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.order_override is not None and self.order_override < 0:
-            raise ValueError("order_override must be non-negative")
+        if self.order_override is not None:
+            if not _is_int(self.order_override):
+                raise ValueError(f"order_override must be an int, got {self.order_override!r}")
+            if self.order_override < 0:
+                raise ValueError("order_override must be non-negative")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -123,10 +128,29 @@ def _is_int(v) -> bool:
 
 
 def _entries_from_json(raw, count: int | None = None) -> np.ndarray:
-    """Wire pairs [re, im] as a complex vector, of length `count` if given."""
+    """Wire pairs [re, im] as a complex vector, of length `count` if given.
+
+    Well-formed input, pairs whose items are all of type float or int, is
+    converted in one array operation. Anything else, and any non-finite
+    value, goes to the entry-by-entry check, which raises on the first bad
+    entry.
+    """
     if not isinstance(raw, list) or count not in (None, len(raw)):
         length = "" if count is None else f" of length {count}"
         raise ValueError(f"entries must be a list{length}")
+    if set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}:
+        flat = list(itertools.chain.from_iterable(raw))
+        # exact types: bool is not an int here, and np.array would coerce "0.1"
+        if set(map(type, flat)) <= {float, int}:
+            with contextlib.suppress(OverflowError):  # an int beyond float range
+                parts = np.array(flat, dtype=np.float64)
+                if np.isfinite(parts).all():
+                    return parts.view(np.complex128)
+    return _checked_entries(raw)
+
+
+def _checked_entries(raw: list) -> np.ndarray:
+    """_entries_from_json one entry at a time, raising on the first bad one."""
     out = np.empty(len(raw), dtype=np.complex128)
     for i, item in enumerate(raw):
         if (

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ WORK_CAP = 10**9
 MAX_ORDER = 170
 # entries in the engine's largest per-block temporary
 BLOCK_ENTRIES = 1 << 16
+# index bytes of the co-subset plans kept between calls (see _plan)
+PLAN_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,78 @@ def _co_subset_blocks(n: int, m: int, caps):
         yield from children(root)
 
 
+def _checked_walk(n: int, m: int, caps):
+    """The blocks of _co_subset_blocks(n, m, caps), each checked once.
+
+    The gathers clip their indices, so a block's rows must lie in
+    range(n), and its parents among the columns of the last block of the
+    size below; a block outside raises IndexError.
+    """
+    width = [1] * (m + 1)  # columns of the last block yielded at each size
+    for rows, parent in _co_subset_blocks(n, m, caps):
+        u, k = rows.shape
+        if u and not (
+            len(parent) == k
+            and 0 <= rows.min()
+            and rows.max() < n
+            and 0 <= parent.min()
+            and parent.max() < width[u - 1]
+        ):
+            raise IndexError("co-subset block outside the array")
+        width[u] = k
+        yield rows, parent
+
+
+# plans by (walk, n, m, caps) with their index bytes, least recently used first
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _plan(n: int, m: int, caps):
+    """The checked blocks of the co-subset walk for (n, m, caps), in walk order.
+
+    The walk depends on its arguments alone, so a plan is built once and
+    kept in a process-wide cache; every thread reads the same plan, and
+    none writes to it. A plan holds u rows and one parent for each co-subset of size u, in
+    one row array and one parent array of the narrowest unsigned dtypes
+    that hold them; its blocks are read-only views of the two. The engine
+    widens them to np.intp before any arithmetic: under NEP 50 a uint8 row
+    times a stride stays uint8 and wraps. The plans kept hold at most
+    PLAN_BYTES of indices, and the least recently used go first. A plan
+    above that budget is walked afresh on each call. The key holds the
+    walk function, so a replaced _co_subset_blocks gets plans of its own.
+    """
+    key = (_co_subset_blocks, n, m, tuple(caps))
+    with _plans_lock:
+        if key in _plans:
+            _plans.move_to_end(key)
+            return _plans[key][0]
+    counts = [math.comb(n, u) for u in range(1, m + 1)]
+    row_count, parent_count = sum(u * c for u, c in enumerate(counts, 1)), sum(counts)
+    row_type, parent_type = np.min_scalar_type(n - 1), np.min_scalar_type(max(caps) - 1)
+    size = row_count * row_type.itemsize + parent_count * parent_type.itemsize
+    if size > PLAN_BYTES:
+        return _checked_walk(n, m, caps)
+    all_rows, all_parents = np.empty(row_count, row_type), np.empty(parent_count, parent_type)
+    plan, at, parent_at = [], 0, 0
+    for rows, parent in _checked_walk(n, m, caps):
+        u, k = rows.shape
+        rows = _copied(all_rows[at:], rows)
+        rows.flags.writeable = False
+        at += u * k
+        if u:
+            parent = _copied(all_parents[parent_at:], parent)
+            parent.flags.writeable = False
+            parent_at += k
+        plan.append((rows, parent))
+    plan = tuple(plan)
+    with _plans_lock:
+        _plans[key] = plan, size
+        while sum(kept for _, kept in _plans.values()) > PLAN_BYTES:
+            _plans.popitem(last=False)
+    return plan
+
+
 def _pattern_blocks(p: int, u: int, step: int):
     """Blocks (at most step x u) of the p^u patterns of a co-subset, in base-p order.
 
@@ -242,6 +317,13 @@ def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape)
 
 
+def _copied(flat: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """block copied, cast to flat's dtype, into the first entries of flat; a view."""
+    view = _shaped(flat, *block.shape)
+    view[...] = block
+    return view
+
+
 def _pattern_weights(hits: np.ndarray, bufs) -> np.ndarray:
     """w[j] = tensor product over the axes t of (-hits[t, j, q] for q in U, then 1).
 
@@ -280,27 +362,29 @@ def _matrix_terms(a: np.ndarray, m: int, sizes):
     r(U + {j}) = r(U) - a[:, j], so each block below order m costs one
     column gather per co-subset. The lead needs r only at the rows of U,
     2u gathered entries; it is formed the same way at every order, which
-    keeps lower orders a bit-exact prefix of higher ones. Every block
-    temporary is a view of this thread's workspace.
+    keeps lower orders a bit-exact prefix of higher ones. Below order m, r
+    is the carried row sums themselves with the rows of U zeroed while the
+    consumer holds them, and restored before the children read them. Every
+    block temporary is a view of this thread's workspace.
     """
     n, caps = len(a), [k for k, _ in sizes]
     wide = max(caps)
-    # a gathered column, the masked copy r, the lead's two gathers and
-    # product, then the row sums carried at sizes 1..m-1
-    regions = [n * wide, n * wide, m * wide, m * wide, wide] + [n * k for k in caps[1:m]]
-    column, masked, kept, removed, product, *levels = _buffers("terms", np.complex128, regions)
-    (index,) = _buffers("index", np.intp, [m * wide])
+    # a gathered column, the lead's two gathers and product, then the row
+    # sums carried at sizes 1..m-1
+    regions = [n * wide, m * wide, m * wide, wide] + [n * k for k in caps[1:m]]
+    column, kept, removed, product, *levels = _buffers("terms", np.complex128, regions)
+    wide_rows, index, wide_parent = _buffers("index", np.intp, [m * wide, m * wide, wide])
+    columns = np.arange(wide)
     # row sums (n x K) of the last block yielded at each size below m
     carry = [a.sum(axis=1)[:, None]] + [None] * m
-    for rows, parent in _co_subset_blocks(n, m, caps):
+    for rows, parent in _plan(n, m, caps):
         u, k = rows.shape
         if not u:
             yield 0, np.ones(1), carry[0]
             continue
+        # mode="raise" would copy through a temporary; _plan checked the block
+        rows, parent = _copied(wide_rows, rows), _copied(wide_parent, parent)
         up, last = carry[u - 1], rows[-1]
-        # mode="raise" would copy through a temporary; check the block once instead
-        if parent[-1] >= up.shape[1] or rows.max() >= n:
-            raise IndexError("co-subset block outside the matrix")
         at = _shaped(index, u, k)
         np.multiply(rows, up.shape[1], out=at)
         at += parent
@@ -311,14 +395,18 @@ def _matrix_terms(a: np.ndarray, m: int, sizes):
         lead = np.multiply.reduce(lead, axis=0, out=product[:k])
         if u % 2:
             np.negative(lead, out=lead)
-        r = None
-        if u < m:
-            carry[u] = up.take(parent, axis=1, out=_shaped(levels[u - 1], n, k), mode="clip")
-            carry[u] -= a.take(last, axis=1, out=_shaped(column, n, k), mode="clip")
-            r = _shaped(masked, n, k)
-            r[...] = carry[u]
-            r[rows, np.arange(k)] = 0.0
+        if u == m:
+            yield u, lead, None
+            continue
+        r = carry[u] = up.take(parent, axis=1, out=_shaped(levels[u - 1], n, k), mode="clip")
+        r -= a.take(last, axis=1, out=_shaped(column, n, k), mode="clip")
+        # flat positions of the rows of U in r; kept is free once the lead is formed
+        np.multiply(rows, k, out=at)
+        at += columns[:k]
+        hidden = r.take(at, out=_shaped(kept, u, k), mode="clip")
+        r.put(at, 0.0, mode="clip")
         yield u, lead, r
+        r.put(at, hidden, mode="clip")
 
 
 def _tensor_terms(arr: np.ndarray, m: int, sizes):
@@ -344,15 +432,17 @@ def _tensor_terms(arr: np.ndarray, m: int, sizes):
     lead_in, all_in, summed, product = _buffers(
         "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
     )
-    lead_at, all_at = _buffers("index", np.intp, [m * max(gather), n * max(gather)])
+    caps = [cap for cap, _ in sizes]
+    wide_rows, lead_at, all_at = _buffers(
+        "index", np.intp, [m * max(caps), m * max(gather), n * max(gather)]
+    )
     weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
     weights = _buffers("weights", np.float64, [weight_size] * 2)
     row_offsets = np.arange(n)[:, None, None] * stride
-    for rows, _ in _co_subset_blocks(n, m, [cap for cap, _ in sizes]):
+    for rows, _ in _plan(n, m, caps):
+        # mode="raise" would copy through a temporary; _plan checked the block
+        rows = _copied(wide_rows, rows)
         u, k = rows.shape
-        # mode="raise" would copy through a temporary; check the block once instead
-        if u and rows.max() >= n:
-            raise IndexError("co-subset block outside the tensor")
         # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
         ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
         for _ in range(d - 1):
@@ -393,28 +483,36 @@ def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
 
     where e_j is the elementary symmetric polynomial. For d = 2 this is
     Ryser's formula truncated at order m. The co-subsets U are walked as a
-    prefix tree (_co_subset_blocks), and the step picked by d yields each
-    block's signed lead products and, below order m, its slice sums
-    (n x tuples) with the rows of U zeroed. Order m needs only the lead, so
+    prefix tree (_co_subset_blocks, read from a cached plan, see _plan),
+    and the step picked by d yields each block's signed lead products and,
+    below order m, its slice sums (n x tuples) with the rows of U zeroed,
+    valid until the step resumes. Order m needs only the lead, so
     its tuples, the most numerous, cost O(u (u + 1)^(d-1)) whatever n is.
     The block layout depends on (n, d, u) alone, and the block partials are
     folded in walk order, so repeated calls give bit-identical results.
 
     Every block temporary, the recurrence's included, is a view of a
-    per-thread workspace sized from _block_sizes (see _buffers), so after
-    the first call of a size the loop allocates nothing large.
+    per-thread workspace sized from _block_sizes (see _buffers), and the
+    walk's indices come from its plan, so after the first call of a size
+    the loop allocates nothing large.
     """
     d, n = arr.ndim, arr.shape[0]
     sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]
     terms = _matrix_terms(arr, m, sizes) if d == 2 else _tensor_terms(arr, m, sizes)
-    width = max(k * npb for k, npb in sizes)
-    powers, step = _buffers("recurrence", np.complex128, [(m + 1) * width, m * width])
+    # e_0..e_(m-u) and one recurrence step for the widest block of each size u
+    widths = [(m - u, k * npb) for u, (k, npb) in enumerate(sizes)]
+    regions = [max((j + 1) * w for j, w in widths), max(j * w for j, w in widths)]
+    powers, step = _buffers("recurrence", np.complex128, regions)
     sums = np.zeros(m + 1, dtype=np.complex128)
     for u, lead, r in terms:
         e = _shaped(powers, m - u + 1, len(lead))
         lo, hi = e[:-1], e[1:]
         e[0], hi[...] = 1.0, 0.0
-        if u < m:
+        if u == m - 1 and len(lead) > 1:
+            # e_1 alone: the recurrence's running sum, added row by row as
+            # numpy reduces a leading axis (a lone column would sum pairwise)
+            np.add.reduce(r, axis=0, out=hi[0])
+        elif u < m:
             t = _shaped(step, m - u, len(lead))
             for ri in r:
                 hi += np.multiply(ri, lo, out=t)

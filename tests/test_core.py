@@ -17,6 +17,7 @@ from permtaylor import (
     tensor_to_json,
     zero_scan,
 )
+from permtaylor.core import _checked_entries, _entries_from_json
 from permtaylor.generators import random_admissible_matrix
 
 
@@ -165,3 +166,73 @@ def test_approx_config_validation():
         ApproxConfig(lam=0.5, epsilon=0.0)
     with pytest.raises(ValueError):
         ApproxConfig(lam=0.5, epsilon=0.5, order_override=-1)
+
+
+@pytest.mark.parametrize("order", [True, False, 2.5, -1, "3"])
+def test_approx_config_rejects_an_order_that_is_not_a_non_negative_int(order):
+    with pytest.raises(ValueError, match="order_override"):
+        ApproxConfig(lam=0.5, epsilon=0.01, order_override=order)
+    assert ApproxConfig(lam=0.5, epsilon=0.01, order_override=0).order_override == 0
+
+
+def _parse_both(text):
+    """(fast result or error, entry-by-entry result or error) for a JSON entries list."""
+    raw = json.loads(text)
+    results = []
+    for parse in (_entries_from_json, _checked_entries):
+        try:
+            results.append(parse(raw).view(np.float64).tobytes())
+        except (ValueError, OverflowError) as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+def test_entries_fast_path_matches_the_loop_on_well_formed_input():
+    rng = np.random.default_rng(3)
+    numbers = [
+        lambda: float(rng.normal()),
+        lambda: int(rng.integers(-(10**6), 10**6)),
+        lambda: int(rng.integers(1, 1 << 62)) << int(rng.integers(0, 900)),
+        lambda: float(rng.choice([0.0, -0.0, 5e-324, 1.7976931348623157e308])),
+    ]
+    for size in [0, 1, 2, 7, 64, 324]:
+        for _ in range(5):
+            raw = [[numbers[rng.integers(4)](), numbers[rng.integers(4)]()] for _ in range(size)]
+            fast, loop = _parse_both(json.dumps(raw))
+            assert isinstance(fast, bytes) and fast == loop
+    pairs = [(0.5, -1), (2, 3.25)]
+    assert np.array_equal(_entries_from_json(pairs), _checked_entries(pairs))
+
+
+PAIR = "must be a pair [re, im] of numbers"
+
+# entries that must not be read as numbers; an int beyond float range fails in float()
+BAD_ENTRIES = {
+    "string": ('["0.1", 0.0]', PAIR),
+    "bool": ("[true, 0.0]", PAIR),
+    "null": ("[0.0, null]", PAIR),
+    "nested": ("[[0.5], 0.0]", PAIR),
+    "short": ("[0.5]", PAIR),
+    "long": ("[0.5, 0.0, 0.0]", PAIR),
+    "number": ("0.5", PAIR),
+    "nan": ("[NaN, 0.0]", "is not finite"),
+    "infinity": ("[0.0, -Infinity]", "is not finite"),
+    "huge int": ("[1" + "0" * 400 + ", 0]", None),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ENTRIES), ids=list(BAD_ENTRIES))
+@pytest.mark.parametrize("at", [0, 3, 8])
+def test_entries_fast_path_rejects_what_the_loop_rejects(bad, at):
+    text, message = BAD_ENTRIES[bad]
+    entries = ["[0.25, -1]"] * 9
+    entries[at] = text
+    fast, loop = _parse_both("[" + ", ".join(entries) + "]")
+    assert fast == loop
+    assert fast[0] is (OverflowError if message is None else ValueError)
+    if message:
+        assert fast[1] == f"entry {at} {message}"
+    # the first bad entry is the one reported, whatever follows it
+    if at < 8:
+        entries[-1] = BAD_ENTRIES["nan" if bad == "string" else "string"][0]
+        assert _parse_both("[" + ", ".join(entries) + "]") == [fast, loop]

@@ -241,7 +241,8 @@ def test_threads_keep_their_workspaces_apart():
     assert got == [[w] * 3 for w in want]
 
 
-def test_warmed_engine_call_allocates_under_a_megabyte():
+def test_warmed_engine_call_allocates_under_128_kb():
+    # the block plan is cached and the workspace kept, so only small temporaries remain
     a = _array(2, 18, 18)
     _ryser_sums(a, 6)
     tracemalloc.start()
@@ -250,7 +251,106 @@ def test_warmed_engine_call_allocates_under_a_megabyte():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 128 << 10
+
+
+# interleaved shapes; m = 1 and n = 2, 3 give blocks of one column
+PLAN_SHAPES = [(2, 18, 6), (3, 5, 5), (2, 2, 1), (2, 16, 6), (4, 4, 3), (2, 3, 3), (2, 18, 1),
+               (5, 3, 3), (2, 12, 8), (3, 7, 2), (2, 2, 2), (2, 18, 6)]
+
+
+def _plan_sums(shapes):
+    return [_bits(_ryser_sums(_array(d, n, 70 + n), m)) for d, n, m in shapes]
+
+
+def test_cached_plans_keep_every_bit(monkeypatch):
+    warm = _plan_sums(PLAN_SHAPES)
+    assert _plan_sums(PLAN_SHAPES) == warm
+    cold = []
+    for shape in PLAN_SHAPES:
+        taylor._plans.clear()
+        cold += _plan_sums([shape])
+    assert cold == warm
+    # a budget below every plan walks each call afresh
+    monkeypatch.setattr(taylor, "PLAN_BYTES", 0)
+    assert _plan_sums(PLAN_SHAPES) == warm
+    for (d, n, m), sums in zip(PLAN_SHAPES, warm):
+        if m:
+            assert _plan_sums([(d, n, m - 1)])[0] == sums[:m]
+
+
+def test_plans_stay_within_their_budget(monkeypatch):
+    monkeypatch.setattr(taylor, "PLAN_BYTES", 60_000)
+    taylor._plans.clear()
+    cached = set()
+    for d, n, m in [(2, n, m) for n in range(2, 19) for m in (2, 4, 6)] + PLAN_SHAPES:
+        _ryser_sums(_array(d, n, n), min(m, n))
+        kept = list(taylor._plans.values())
+        assert sum(size for _, size in kept) <= taylor.PLAN_BYTES
+        for plan, size in kept:
+            arrays = [x for block in plan for x in block if x is not None]
+            assert sum(x.nbytes for x in arrays) == size
+            assert not any(x.flags.writeable for x in arrays)
+        # a plan that fits is the most recently used one
+        newest = next(reversed(taylor._plans))
+        if any(key[1:3] == (n, min(m, n)) for key in taylor._plans):
+            assert newest[1:3] == (n, min(m, n))
+            cached.add(newest)
+    # the plans for n = 18, m = 6 exceed the budget; many smaller ones were evicted
+    assert all(key[1:3] != (18, 6) for key in taylor._plans)
+    assert len(taylor._plans) < len(cached)
+
+
+def test_threads_share_plans_bit_for_bit():
+    shapes = [(2, 18, 6), (3, 5, 5), (2, 16, 6), (4, 4, 4)]
+    want = _plan_sums(shapes)
+    got = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[i].append(_plan_sums(shapes[i:] + shapes[:i]))
+
+    taylor._plans.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[want[i:] + want[:i]] * 3 for i in range(4)]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_plan_dtype_boundaries_match_small_principal_permanents(n):
+    # rows of n = 256 still fit a uint8 plan, and row * n must not wrap in it
+    a = _array(2, n, n)
+    diag = np.diag(a)
+    pairs = (diag.sum() ** 2 - (diag**2).sum()) / 2 + ((a * a.T).sum() - (diag**2).sum()) / 2
+    c = _ryser_sums(a, 2)
+    assert _close(c[1], diag.sum()) and _close(c[2], pairs)
+
+
+def test_plan_rows_widen_before_the_tensor_stride():
+    # d = 3, n = 16: rows fit a uint8 plan, the stride (n + 1)^2 = 289 does not
+    n = 16
+    t = _array(3, n, 16)
+    c = _ryser_sums(t, 2)
+    assert _close(c[1], sum(t[i, i, i] for i in range(n)))
+    pairs = sum(
+        permanent_tensor(principal_subtensor(t, s)) for s in itertools.combinations(range(n), 2)
+    )
+    assert _close(c[2], pairs)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -263,3 +363,37 @@ def test_block_outside_the_array_raises(monkeypatch, d):
     monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
     with pytest.raises(IndexError):
         _ryser_sums(_array(d, 4, 1), 2)
+
+
+def test_top_order_e1_keeps_the_recurrences_running_sum():
+    # below the top order e_1 is r_0 + r_1 + ... in row order, which numpy's reduction
+    # over a leading axis keeps for two or more columns; one column would sum pairwise
+    rng = np.random.default_rng(4)
+    for n, k in [(9, 2), (18, 3), (200, 64)]:
+        r = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-8, 8, size=(n, k))
+        r = r + 1j * rng.normal(size=(n, k))
+        running = np.zeros(k, dtype=complex)
+        for row in r:
+            running += row
+        assert np.add.reduce(r, axis=0).tobytes() == running.tobytes()
+    # at m = 1 the root block is a single column; for a diagonal matrix every other
+    # block adds zero, so c_1 is the diagonal added in order
+    diag = rng.normal(size=18) * 10.0 ** rng.integers(-8, 8, size=18) + 0.5j
+    running = 0j
+    for x in diag:
+        running += x
+    assert _bits(_ryser_sums(np.diag(diag), 1)[1:]) == _bits([running])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cached_plan_does_not_hide_a_replaced_walk(monkeypatch, d):
+    a = _array(d, 4, 1)
+    _ryser_sums(a, 2)
+
+    def walk(n, m, caps):
+        yield np.zeros((0, 1), dtype=np.intp), None
+        yield np.array([[n - 1]]), np.ones(1, dtype=np.intp)  # no parent 1 at size 0
+
+    monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
+    with pytest.raises(IndexError):
+        _ryser_sums(a, 2)
