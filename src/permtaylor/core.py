@@ -159,7 +159,10 @@ def _checked_entries(raw: list) -> np.ndarray:
             or not all(isinstance(v, float) or _is_int(v) for v in item)
         ):
             raise ValueError(f"entry {i} must be a pair [re, im] of numbers")
-        re, im = float(item[0]), float(item[1])
+        try:
+            re, im = float(item[0]), float(item[1])
+        except OverflowError:  # an int beyond float range
+            re = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"entry {i} is not finite")
         out[i] = complex(re, im)

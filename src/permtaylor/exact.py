@@ -221,6 +221,8 @@ def exact_log_permanent(
     """
     arr = as_tensor(a)
     d, n = arr.ndim, arr.shape[0]
+    if d == 2 and n > RYSER_CAP:
+        raise SizeCapError(f"Ryser permanent capped at n <= {RYSER_CAP}, got n = {n}")
     if d > 2 and math.factorial(n) ** (d - 1) > product_cap:
         raise SizeCapError("tensor too large for branch tracking")
     diag = diagonal_index(d, n)

@@ -100,7 +100,7 @@ class ZeroScanReport:
             "angular": self.angular,
             "min_modulus": self.min_modulus,
             "argmin_z": pair(self.argmin_z),
-            "moduli": [[float(v) for v in row] for row in self.moduli],
+            "moduli": self.moduli.tolist(),
         }
 
 
@@ -521,55 +521,30 @@ def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
     return [complex(c) for c in sums]
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    """Whether every vertex is reachable from vertex 0 along the arcs adj[i, j]."""
-    seen = adj[0].copy()
-    seen[0] = True
-    front = seen
-    while not seen.all():
-        front = adj[front].any(axis=0) & ~seen
-        if not front.any():
-            return False
-        seen |= front
-    return True
+def _reach(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of the digraph adj[i, j], as bools.
+
+    Squares the 0/1 matrix of I + adj until it stops changing, at most
+    log2(n) products; each sums non-negative terms, so > 0 reads every
+    path exactly.
+    """
+    r = (adj | np.eye(len(adj), dtype=bool)).astype(np.float32)
+    while True:
+        s = (r @ r > 0).astype(np.float32)
+        if np.array_equal(s, r):
+            return s > 0
+        r = s
 
 
 def _strong_components(adj: np.ndarray) -> np.ndarray:
     """Strong-component label of each vertex of the digraph adj[i, j].
 
-    Labels number the components in order of their smallest vertex. One
-    forward and one backward sweep from vertex 0 settle the strongly
-    connected case; otherwise Tarjan's algorithm runs, iteratively.
+    Labels number the components in order of their smallest vertex, which
+    is the first vertex that each vertex reaches and is reached from.
     """
-    n = len(adj)
-    if _reaches_all(adj) and _reaches_all(adj.T):
-        return np.zeros(n, dtype=np.intp)
-    succ = [np.flatnonzero(row).tolist() for row in adj]
-    index, low, root = [-1] * n, [0] * n, [-1] * n
-    stack, count = [], 0
-    for start in range(n):
-        walk = [(start, 0)] if index[start] < 0 else []
-        while walk:
-            v, i = walk.pop()
-            if i == 0:
-                index[v] = low[v] = count
-                count += 1
-                stack.append(v)
-            if i < len(succ[v]):
-                walk.append((v, i + 1))
-                w = succ[v][i]
-                if index[w] < 0:
-                    walk.append((w, 0))
-                elif root[w] < 0:  # w is still on the stack
-                    low[v] = min(low[v], index[w])
-                continue
-            if walk:
-                low[walk[-1][0]] = min(low[walk[-1][0]], low[v])
-            if low[v] == index[v]:
-                while root[v] < 0:
-                    root[stack.pop()] = v
-    first = {}
-    return np.array([first.setdefault(r, len(first)) for r in root], dtype=np.intp)
+    reach = _reach(adj)
+    first = (reach & reach.T).argmax(axis=1)
+    return (np.cumsum(first == np.arange(len(adj))) - 1)[first]
 
 
 def _digraph(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -597,8 +572,8 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     while d > 2:
         kept = keep.copy()
         for heads in idx[1:]:
-            label = _strong_components(_digraph(n, idx[0][keep], heads[keep]))
-            kept &= label[idx[0]] == label[heads]
+            # i -> j_t is an arc, so they share a component when j_t reaches i
+            kept &= _reach(_digraph(n, idx[0][keep], heads[keep]))[heads, idx[0]]
         if kept.sum() == keep.sum():
             break
         keep = kept

@@ -189,6 +189,16 @@ def test_collapse_demo_rejects_non_numbers(tmp_path, cli, field, item):
     assert out == "" and "entry 0 must be a pair [re, im] of numbers" in err
 
 
+@pytest.mark.parametrize("command", ["approx", "collapse-demo"])
+def test_int_beyond_float_range_is_a_parse_error(tmp_path, cli, command):
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"n": 1, "entries": [[{huge}, 0]], "alphas": [[{huge}, 0]], "zs": [[1, 0]]}}')
+    code, out, err = cli(command, str(path))
+    assert code == 1
+    assert out == "" and err == "error: entry 0 is not finite\n"
+
+
 @pytest.mark.parametrize("kind", ["matrix", "block", "tensor", "dominant"])
 def test_gen_rejects_empty_instances(cli, kind):
     code, out, err = cli("gen", kind, "--n", "0")

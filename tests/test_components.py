@@ -25,6 +25,7 @@ from permtaylor import (
 from permtaylor.taylor import (
     _components,
     _minor_sums,
+    _reach,
     _ryser_sums,
     _strong_components,
     minor_sum_work,
@@ -96,15 +97,44 @@ def _check_against_oracle(a):
     assert perm_poly_derivs(a, n) == full
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_strong_components_match_the_transitive_closure(seed):
-    rng = np.random.default_rng(seed)
-    n = 1 + seed % 11
-    adj = rng.random((n, n)) < rng.uniform(0.0, 0.4)
+def _cycle(vertices, n):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[vertices, np.roll(vertices, -1)] = True
+    return adj
+
+
+def _two_cycles():
+    """The even and the odd vertices of 0..39 each form a cycle; two arcs
+    lead from the even cycle to the odd one and none lead back."""
+    adj = _cycle(np.arange(0, 40, 2), 40) | _cycle(np.arange(1, 40, 2), 40)
+    adj[0, 1] = adj[10, 21] = True
+    return adj
+
+
+# the closure of a 64-vertex cycle or path changes on each of 6 squarings;
+# that of the random digraphs (n <= 11) on at most 3
+STRUCTURED = {
+    "cycle": _cycle(np.arange(64), 64),
+    "path": _cycle(np.arange(64), 64) & ~np.eye(64, k=-63, dtype=bool),
+    "two-cycles": _two_cycles(),
+    "no-arcs": np.zeros((7, 7), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("case", [*range(30), *STRUCTURED])
+def test_strong_components_match_the_transitive_closure(case):
+    if case in STRUCTURED:
+        adj = STRUCTURED[case]
+    else:
+        rng = np.random.default_rng(case)
+        n = 1 + case % 11
+        adj = rng.random((n, n)) < rng.uniform(0.0, 0.4)
+    n = len(adj)
     label = _strong_components(adj)
     reach = np.eye(n, dtype=int) | adj
     for _ in range(n):
         reach = ((reach @ reach) > 0).astype(int)
+    assert (_reach(adj) == reach.astype(bool)).all()
     assert ((label[:, None] == label[None, :]) == (reach & reach.T).astype(bool)).all()
     smallest = [np.flatnonzero(label == c)[0] for c in range(label.max() + 1)]
     assert smallest == sorted(smallest)

@@ -182,7 +182,7 @@ def _parse_both(text):
     for parse in (_entries_from_json, _checked_entries):
         try:
             results.append(parse(raw).view(np.float64).tobytes())
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             results.append((type(exc), str(exc)))
     return results
 
@@ -206,7 +206,7 @@ def test_entries_fast_path_matches_the_loop_on_well_formed_input():
 
 PAIR = "must be a pair [re, im] of numbers"
 
-# entries that must not be read as numbers; an int beyond float range fails in float()
+# entries that must not be read as numbers
 BAD_ENTRIES = {
     "string": ('["0.1", 0.0]', PAIR),
     "bool": ("[true, 0.0]", PAIR),
@@ -217,7 +217,7 @@ BAD_ENTRIES = {
     "number": ("0.5", PAIR),
     "nan": ("[NaN, 0.0]", "is not finite"),
     "infinity": ("[0.0, -Infinity]", "is not finite"),
-    "huge int": ("[1" + "0" * 400 + ", 0]", None),
+    "huge int": ("[1" + "0" * 400 + ", 0]", "is not finite"),
 }
 
 
@@ -229,9 +229,7 @@ def test_entries_fast_path_rejects_what_the_loop_rejects(bad, at):
     entries[at] = text
     fast, loop = _parse_both("[" + ", ".join(entries) + "]")
     assert fast == loop
-    assert fast[0] is (OverflowError if message is None else ValueError)
-    if message:
-        assert fast[1] == f"entry {at} {message}"
+    assert fast == (ValueError, f"entry {at} {message}")
     # the first bad entry is the one reported, whatever follows it
     if at < 8:
         entries[-1] = BAD_ENTRIES["nan" if bad == "string" else "string"][0]

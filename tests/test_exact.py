@@ -10,6 +10,8 @@ import pytest
 
 from permtaylor import (
     SizeCapError,
+    exact,
+    exact_log_permanent,
     identity_matrix,
     identity_tensor,
     permanent_definitional,
@@ -167,6 +169,17 @@ def test_size_caps():
         permanent_tensor(identity_tensor(3, 3), product_cap=10)
     with pytest.raises(SizeCapError):
         permanent_tensor_slice_expansion(identity_tensor(3, 3), 0, 0, product_cap=10)
+
+
+def test_exact_log_permanent_caps_matrices_before_ryser_runs(monkeypatch):
+    def ryser(rows):
+        raise AssertionError(f"Ryser ran at n = {len(rows)}")
+
+    monkeypatch.setattr(exact, "_ryser_core", ryser)
+    with pytest.raises(SizeCapError, match=f"n <= {exact.RYSER_CAP}, got n = 40"):
+        exact_log_permanent(np.zeros((40, 40)))
+    with pytest.raises(AssertionError, match=f"n = {exact.RYSER_CAP}"):
+        exact_log_permanent(np.zeros((exact.RYSER_CAP,) * 2))
 
 
 def test_repeat_runs_are_bit_identical():

@@ -24,6 +24,7 @@ from permtaylor import (
     choose_order,
     exact_log_permanent,
     identity_tensor,
+    json_dumps,
     log_derivatives,
     perm_poly_derivs,
     perm_poly_derivs_tensor,
@@ -382,3 +383,5 @@ def test_zero_scan_admissible_is_zero_free():
     assert rep.moduli.shape == (64, 64)
     lam = max(np.abs(m).sum(axis=1))
     assert rep.radius == pytest.approx(0.99 / lam)
+    per_item = {**rep.to_json(), "moduli": [[float(v) for v in row] for row in rep.moduli]}
+    assert json_dumps(rep.to_json()) == json_dumps(per_item)
