@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .generators import (
     random_hypergraph,
 )
 from .hypergraph import hypergraph_from_json, matching_stats, normalize_base_matching
-from .taylor import WORK_CAP, approx_log_permanent, minor_sum_work, zero_scan
+from .taylor import WORK_CAP, approx_log_permanent, zero_scan
 
 
 def _load_json(path: str):
@@ -203,82 +202,52 @@ def _cmd_gen(args) -> dict:
     raise ValueError(f"unknown generator {args.kind!r}")
 
 
-def _cmd_bench(args) -> dict:
-    """Measured scaling of the minor-sum engine over (n, m) pairs."""
-    sizes = [int(s) for s in args.sizes.split(",")]
-    orders = [int(s) for s in args.orders.split(",")]
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for n in sizes:
-        arr = random_admissible_matrix(n, 0.5, rng)
-        for m in orders:
-            cfg = ApproxConfig(lam=0.5, epsilon=0.01, order_override=m)
-            start = time.perf_counter()
-            approx_log_permanent(arr, cfg, threads=args.threads, work_cap=args.work_cap)
-            elapsed = time.perf_counter() - start
-            ops = minor_sum_work(n, 2, m)
-            rows.append({"n": n, "m": m, "subset_ops": ops, "seconds": elapsed})
-            print(f"n={n:3d} m={m:2d}  {elapsed:8.3f}s  ({ops} ops)", file=sys.stderr)
-    return {"rows": rows}
+def _common(p, fn) -> None:
+    """The arguments every command but gen takes, and the handler fn."""
+    p.add_argument("input", help="path to the instance JSON file")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
+    p.add_argument("--work-cap", type=int, default=WORK_CAP, dest="work_cap",
+                   help="enumeration budget before failing fast")
+    p.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
+    p.set_defaults(fn=fn)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permtaylor",
-        description="Log-permanent approximation for row-dominated complex "
-        "matrices and tensors, with exact oracles and hypergraph "
-        "matching statistics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="path to the instance JSON file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--work-cap", type=int, default=WORK_CAP, dest="work_cap",
-                       help="enumeration budget before failing fast")
-        p.add_argument("--pretty", action="store_true", help="aligned table instead of JSON")
-
-    p = sub.add_parser("exact", help="exact permanent per(I + A) of an instance A")
-    common(p)
+def _exact_args(p) -> None:
+    _common(p, _cmd_exact)
     p.add_argument("--raw", action="store_true",
                    help="permanent of the stored array itself, without the identity shift")
-    p.set_defaults(fn=_cmd_exact)
 
-    p = sub.add_parser("approx", help="Taylor approximation of the log-permanent")
-    common(p)
+
+def _approx_args(p) -> None:
+    _common(p, _cmd_approx)
     p.add_argument("--lambda", type=float, default=None, dest="lam",
                    help="dominance bound (default: measured effective lambda)")
     p.add_argument("--epsilon", type=float, default=0.01, help="target additive error on the log")
     p.add_argument("--order", type=int, default=None, help="force the Taylor order m")
-    p.set_defaults(fn=_cmd_approx)
 
-    p = sub.add_parser("dominance", help="row/slice dominance report")
-    common(p)
+
+def _dominance_args(p) -> None:
+    _common(p, _cmd_dominance)
     p.add_argument("--scaled", action="store_true",
                    help="off-diagonal mass relative to |b_ii| (strong-dominance check "
                         "for a general matrix B)")
-    p.set_defaults(fn=_cmd_dominance)
 
-    p = sub.add_parser("matching-stats", help="weighted perfect-matching count of a hypergraph")
-    common(p)
+
+def _matching_stats_args(p) -> None:
+    _common(p, _cmd_matching_stats)
     p.add_argument("--lambda", type=float, required=True, dest="lam", help="distance weight")
     p.add_argument("--epsilon", type=float, default=0.01, help="target additive error on the log")
-    p.set_defaults(fn=_cmd_matching_stats)
 
-    p = sub.add_parser("zero-scan", help="modulus of per(I + zA) over a polar grid")
-    common(p)
+
+def _zero_scan_args(p) -> None:
+    _common(p, _cmd_zero_scan)
     p.add_argument("--radius", type=float, default=None,
                    help="scan radius (default 0.99 / effective lambda)")
     p.add_argument("--grid", default="64x64", help="radial x angular resolution")
-    p.set_defaults(fn=_cmd_zero_scan)
 
-    p = sub.add_parser("collapse-demo", help="collapse a linear form onto one coordinate")
-    common(p)
-    p.set_defaults(fn=_cmd_collapse_demo)
 
-    p = sub.add_parser("gen", help="generate instances")
+def _gen_args(p) -> None:
     p.add_argument("kind", choices=["block", "matrix", "tensor", "dominant", "hypergraph"])
     p.add_argument("--n", type=int, default=10, help="side length / vertices per part")
     p.add_argument("--d", type=int, default=3, help="tensor dimension / parts")
@@ -292,19 +261,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("bench", help="time the approximation over a grid of (n, m)")
-    common(p, needs_input=False)
-    p.add_argument("--sizes", default="10,15,20", help="comma-separated n values")
-    p.add_argument("--orders", default="4,6,8", help="comma-separated m values")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_bench)
 
+# name -> (help line, function that adds the command's arguments and handler)
+COMMANDS = {
+    "exact": ("exact permanent per(I + A) of an instance A", _exact_args),
+    "approx": ("Taylor approximation of the log-permanent", _approx_args),
+    "dominance": ("row/slice dominance report", _dominance_args),
+    "matching-stats": ("weighted perfect-matching count of a hypergraph", _matching_stats_args),
+    "zero-scan": ("modulus of per(I + zA) over a polar grid", _zero_scan_args),
+    "collapse-demo": ("collapse a linear form onto one coordinate",
+                      lambda p: _common(p, _cmd_collapse_demo)),
+    "gen": ("generate instances", _gen_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, whose help and usage read as in the full
+    tree, or with no command the full tree of subcommands."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"permtaylor {command}")
+        COMMANDS[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="permtaylor",
+        description="Log-permanent approximation for row-dominated complex "
+        "matrices and tensors, with exact oracles and hypergraph "
+        "matching statistics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """One call; returns the exit status. A call that names a command builds
+    that command's parser alone; the full tree parses any other argv."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         _emit(args.fn(args), args.pretty)
     except InadmissibleInputError as exc:

@@ -613,6 +613,14 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None) -> list[comp
     return sums
 
 
+def _nonempty_tensor(a) -> np.ndarray:
+    """as_tensor for the Taylor path, which expands around I and so needs n >= 1."""
+    arr = as_tensor(a)
+    if arr.shape[0] == 0:
+        raise ValueError(f"empty array of shape {arr.shape}: n must be positive")
+    return arr
+
+
 def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> list[complex]:
     """Derivatives g^(k)(0) of g(z) = per(I + z A) for k = 0..m.
 
@@ -624,7 +632,7 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     """
     if not _is_int(m):
         raise ValueError(f"order m must be an int, got {m!r}")
-    arr = as_tensor(a)
+    arr = _nonempty_tensor(a)
     n = arr.shape[0]
     if not 0 <= m <= n:
         raise ValueError(f"order m = {m} must lie in [0, {n}], the polynomial degree")
@@ -668,7 +676,7 @@ def approx_log_permanent(
     An order above MAX_ORDER raises SizeCapError before any minor sum.
     `threads` has no effect; it is kept for the determinism contract.
     """
-    arr = as_tensor(a)
+    arr = _nonempty_tensor(a)
     report = require_admissible(arr)
     if report.effective_lambda > cfg.lam:
         raise InadmissibleInputError(
@@ -721,7 +729,7 @@ def zero_scan(
         raise ValueError("grid resolution must be positive")
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    arr = as_tensor(a)
+    arr = _nonempty_tensor(a)
     if radius is None:
         lam = check_dominance_tensor(arr).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0

@@ -1,9 +1,11 @@
 """End-to-end CLI checks through subprocesses: schemas, exit codes, and
 consistency between the approx and exact commands."""
 
+import argparse
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +305,65 @@ def test_pretty_output(matrix_file, cli):
     assert "error_bound" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# one representative argv per command, after the command name
+COMMAND_ARGVS = {
+    "exact": ["m.json", "--raw", "--work-cap", "5"],
+    "approx": ["m.json", "--lambda", "0.3", "--epsilon", "0.1", "--order", "3", "--threads", "2",
+               "--pretty"],
+    "dominance": ["m.json", "--scaled"],
+    "matching-stats": ["h.json", "--lambda", "0.4", "--epsilon", "0.05"],
+    "zero-scan": ["m.json", "--radius", "1.5", "--grid", "8x8", "--work-cap", "7"],
+    "collapse-demo": ["c.json", "--pretty"],
+    "gen": ["hypergraph", "--n", "4", "--d", "3", "--lambda", "0.2", "--sign", "minus",
+            "--extra", "2", "--delta-cap", "2", "--seed", "5", "--pretty"],
+}
+
+
+def test_command_argvs_cover_every_command():
+    assert list(COMMAND_ARGVS) == list(cli_module.COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(COMMAND_ARGVS))
+def test_command_parser_matches_the_full_tree(name):
+    # the full tree still parses every command, and the parser of the
+    # command alone reads its argv the same way
+    full = cli_module.build_parser()
+    (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    alone = cli_module.build_parser(name)
+    assert alone.format_help() == sub.choices[name].format_help()
+    assert alone.format_usage() == sub.choices[name].format_usage()
+    argv = COMMAND_ARGVS[name]
+    from_tree = vars(full.parse_args([name, *argv]))
+    assert from_tree.pop("command") == name
+    assert vars(alone.parse_args(argv)) == from_tree
+
+
+def test_run_builds_only_the_named_commands_parser(matrix_file, monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli_module.run(["approx", str(matrix_file)]) == 0
+    assert built == ["permtaylor approx"]
+    assert list(json.loads(capsys.readouterr().out))[0] == "m"
+
+
+def test_main_reads_sys_argv(matrix_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["permtaylor", "approx", str(matrix_file)])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["m"] >= 1
+
+
+def test_unrecognized_option_exits_2_under_the_commands_usage(matrix_file, cli):
+    code, out, err = cli("approx", str(matrix_file), "--bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: permtaylor approx ")
+    assert err.endswith("permtaylor approx: error: unrecognized arguments: --bogus\n")

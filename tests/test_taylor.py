@@ -158,6 +158,27 @@ def test_poly_derivs_rejects_orders_that_are_not_ints_in_range(monkeypatch, m):
         perm_poly_derivs(np.zeros((3, 3)), m)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: perm_poly_derivs(a, 0),
+        lambda a: approx_log_permanent(a, ApproxConfig(lam=0.5, epsilon=0.01)),
+        lambda a: zero_scan(a, radius=1.0),
+        lambda a: zero_scan(a),
+    ],
+    ids=["perm_poly_derivs", "approx_log_permanent", "zero_scan radius", "zero_scan"],
+)
+def test_taylor_path_rejects_the_empty_array_before_any_work(monkeypatch, call):
+    def work(*args):
+        raise AssertionError("work ran")
+
+    for name in ("_components", "_minor_sums", "check_dominance_tensor", "require_admissible"):
+        monkeypatch.setattr(taylor, name, work)
+    with pytest.raises(ValueError, match=r"empty array of shape \(0, 0\)"):
+        call(np.zeros((0, 0)))
+    assert exact_log_permanent(np.zeros((0, 0))) == 0
+
+
 def test_poly_derivs_threads_bit_identical():
     rng = np.random.default_rng(34)
     m = random_admissible_matrix(8, 0.5, rng)
