@@ -29,7 +29,7 @@ from .core import (
     tensor_from_json,
     tensor_to_json,
 )
-from .dominance import check_dominance_tensor, require_admissible, scaled_dominance_report
+from .dominance import check_dominance_tensor, scaled_dominance_report
 from .exact import permanent_ryser, permanent_tensor
 from .generators import (
     block_extremal_matrix,
@@ -121,9 +121,8 @@ def _cmd_exact(args) -> dict:
 
 def _cmd_approx(args) -> dict:
     arr = _load_array(args.input)
-    lam = args.lam if args.lam is not None else require_admissible(arr).effective_lambda
-    cfg = ApproxConfig(lam=lam, epsilon=args.epsilon, order_override=args.order)
-    result = approx_log_permanent(arr, cfg, threads=args.threads, work_cap=args.work_cap)
+    cfg = ApproxConfig(lam=args.lam, epsilon=args.epsilon, order_override=args.order)
+    result = approx_log_permanent(arr, cfg, work_cap=args.work_cap)
     sizes = result.components
     print(
         f"n = {arr.shape[0]}, components {len(sizes)} (largest {max(sizes)}), "
@@ -146,22 +145,14 @@ def _cmd_matching_stats(args) -> dict:
     h, m0 = hypergraph_from_json(_load_json(args.input))
     if m0 is not None:
         h = normalize_base_matching(h, m0)
-    result = matching_stats(
-        h, args.lam, epsilon=args.epsilon, threads=args.threads, work_cap=args.work_cap
-    )
-    return result.to_json()
+    return matching_stats(h, args.lam, epsilon=args.epsilon, work_cap=args.work_cap).to_json()
 
 
 def _cmd_zero_scan(args) -> dict:
     arr = _load_array(args.input)
     radial, angular = _parse_grid(args.grid)
     report = zero_scan(
-        arr,
-        radius=args.radius,
-        radial=radial,
-        angular=angular,
-        threads=args.threads,
-        work_cap=args.work_cap,
+        arr, radius=args.radius, radial=radial, angular=angular, work_cap=args.work_cap
     )
     return report.to_json()
 

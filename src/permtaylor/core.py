@@ -45,18 +45,19 @@ class NormalizationError(ValueError):
 class ApproxConfig:
     """Approximation parameters.
 
-    lam            dominance bound in [0, 1); the input's measured row/slice
-                    sums must not exceed it
+    lam            dominance bound in [0, 1) that the input's measured
+                    row/slice sums must not exceed, or None to use the
+                    measured effective lambda itself
     epsilon        target additive error on the log, in (0, 1)
     order_override optional forced Taylor order (skips automatic selection)
     """
 
-    lam: float
+    lam: float | None
     epsilon: float
     order_override: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lam < 1.0:
+        if self.lam is not None and not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -94,10 +95,7 @@ def identity_matrix(n: int) -> np.ndarray:
 
 def identity_tensor(d: int, n: int) -> np.ndarray:
     """Cubical tensor with ones on the diagonal entries (i, ..., i)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_sizes(d, n)
     arr = np.zeros((n,) * d, dtype=np.complex128)
     arr[diagonal_index(d, n)] = 1.0
     return arr
@@ -178,7 +176,11 @@ def json_header(obj, kind: str, body: str, d: int | None = None) -> tuple[int, i
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         *head, last = (f'"{k}"' for k in keys)
         raise ValueError(f"{kind} JSON must have keys {', '.join(head)} and {last}")
-    d, n = d or obj["d"], obj["n"]
+    return check_sizes(d or obj["d"], obj["n"])
+
+
+def check_sizes(d, n) -> tuple[int, int]:
+    """(d, n), or ValueError unless d >= 2 and n >= 1 are ints (not bools)."""
     if not _is_int(d) or d < 2:
         raise ValueError('"d" must be an integer >= 2')
     if not _is_int(n) or n < 1:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SizeCapError, as_matrix, as_tensor, diagonal_index
+from .core import SizeCapError, _is_int, as_matrix, as_tensor, diagonal_index
 from .summation import ComplexNeumaier
 
 DEFINITIONAL_CAP = 10
@@ -208,17 +208,20 @@ def exact_log_permanent(
 ) -> complex:
     """Branch-tracked exact log-permanent, the test-side reference value.
 
-    Walks z through `steps` uniform increments on [0, 1], evaluating the
-    exact permanent of I + z A at each node and accumulating the
-    principal-branch log of consecutive ratios. This follows the
-    continuous branch anchored at ln per(I) = 0, which a single
-    principal-branch log of the endpoint may miss by multiples of 2 pi i.
+    Walks z through `steps` (an int >= 1) uniform increments on [0, 1],
+    evaluating the exact permanent of I + z A at each node and
+    accumulating the principal-branch log of consecutive ratios. This
+    follows the continuous branch anchored at ln per(I) = 0, which a
+    single principal-branch log of the endpoint may miss by multiples of
+    2 pi i.
 
     A step whose ratio turns by more than pi/2 could hide a full turn, so
     it is halved, up to BRANCH_HALVINGS times, until every piece turns by
     at most pi/2; past that ArithmeticError is raised rather than risking
     a silent wrap.
     """
+    if not _is_int(steps) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     arr = as_tensor(a)
     d, n = arr.ndim, arr.shape[0]
     if d == 2 and n > RYSER_CAP:

@@ -31,11 +31,11 @@ from .core import (
     InadmissibleInputError,
     InvalidMatchingError,
     SizeCapError,
+    check_sizes,
     diagonal_index,
     json_header,
     pair,
 )
-from .dominance import check_dominance_tensor
 from .taylor import WORK_CAP, approx_log_permanent
 
 MAX_EDGES = 40
@@ -58,10 +58,7 @@ class DPartiteHypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be at least 2")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        check_sizes(self.d, self.n)
         edges = tuple(_edge(e) for e in self.edges)
         seen = set()
         for e in edges:
@@ -218,10 +215,12 @@ def matching_stats(
 ) -> MatchingStatsResult:
     """Approximate sum_M lam^dist(M, M0) for the diagonal base matching M0.
 
-    Builds the zero-diagonal weighted tensor lam^2 (A - I), checks slice
-    dominance, and runs the Taylor approximation of the log. The result
-    carries both the log-space value with its additive bound and the
-    exponentiated count with relative bound e^bound - 1.
+    Builds the zero-diagonal weighted tensor lam^2 (A - I) and runs the
+    Taylor approximation of the log at its measured lambda, which also
+    checks slice dominance. The result carries both the log-space value
+    with its additive bound and the exponentiated count with relative
+    bound e^bound - 1. `threads` is accepted for compatibility and has no
+    effect.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -232,19 +231,17 @@ def matching_stats(
             "the diagonal edges (i, ..., i) must all be present; relabel with "
             "normalize_base_matching first"
         )
-    degs = h.first_part_degrees()
-    delta = max(degs)
+    delta = max(h.first_part_degrees())
     t = encode_tensor(h)
     t[diagonal_index(h.d, h.n)] = 0.0
     t *= lam * lam
-    report = check_dominance_tensor(t)
-    if not report.admissible:
+    try:
+        taylor = approx_log_permanent(t, ApproxConfig(None, epsilon), work_cap=work_cap)
+    except InadmissibleInputError:
         raise InadmissibleInputError(
             f"lam = {lam} is too large: lam^2 (Delta - 1) = "
             f"{lam * lam * (delta - 1):.6g} must be below 1"
-        )
-    cfg = ApproxConfig(lam=report.effective_lambda, epsilon=epsilon)
-    taylor = approx_log_permanent(t, cfg, threads=threads, work_cap=work_cap)
+        ) from None
     return MatchingStatsResult(
         lam=lam,
         value=cmath.exp(taylor.value),

@@ -120,8 +120,8 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
         raise ValueError("n must be positive")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     lo, hi = -1, 0  # the bound is above epsilon at lo (if lo >= 0), within it at hi
     while taylor_tail_bound(n, lam, hi) > epsilon:
         lo, hi = hi, 2 * hi + 1
@@ -587,30 +587,32 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return pruned, [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
 
-def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None) -> list[complex]:
-    """c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
+def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
+    """(c, sizes): c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
 
     PER(I + zA) factors over the strong components of its support
-    (_components; parts, when given, is their result for arr), so
-    _ryser_sums runs once per component C at order min(m, n_C), and the
-    cap is charged for that work. The component polynomials are
-    multiplied in component order, each coefficient summed in a fixed
-    order, which keeps lower orders a bit-exact prefix of higher ones. A
-    single component runs _ryser_sums on arr itself.
+    (_components), so _ryser_sums runs once per component C at order
+    min(m, n_C), and the cap is charged for that work. The component
+    polynomials are multiplied in component order, each coefficient
+    summed in a fixed order, which keeps lower orders a bit-exact prefix
+    of higher ones. A single component runs _ryser_sums on arr itself,
+    whose sums keep a -0.0 that the product would turn into +0.0. The
+    sizes n_C come in order of each component's smallest vertex.
     """
     d = arr.ndim
-    reduced, groups = parts or _components(arr)
-    orders = [min(m, len(g)) for g in groups]
-    work = sum(minor_sum_work(len(g), d, k) for g, k in zip(groups, orders))
+    reduced, groups = _components(arr)
+    sizes = tuple(len(g) for g in groups)
+    orders = [min(m, size) for size in sizes]
+    work = sum(minor_sum_work(size, d, k) for size, k in zip(sizes, orders))
     if work > work_cap:
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
     if len(groups) == 1:
-        return _ryser_sums(arr, m)
+        return _ryser_sums(arr, m), sizes
     sums = [complex(1.0)] + [complex(0.0)] * m
     for g, k in zip(groups, orders):
         c = _ryser_sums(reduced[np.ix_(*(g,) * d)], k)
         sums = [sum(c[j] * sums[i - j] for j in range(min(i, k) + 1)) for i in range(m + 1)]
-    return sums
+    return sums, sizes
 
 
 def _nonempty_tensor(a) -> np.ndarray:
@@ -627,8 +629,7 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     Each is k! times the sum of permanents of the k x k principal
     subarrays; A may be a matrix or a cubical tensor (PER of principal
     subtensors). m must be an int in [0, n], the polynomial's degree.
-    `threads` is accepted for compatibility and has no effect: the
-    engine's block layout fixes every result.
+    `threads` is accepted for compatibility and has no effect.
     """
     if not _is_int(m):
         raise ValueError(f"order m must be an int, got {m!r}")
@@ -636,7 +637,7 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     n = arr.shape[0]
     if not 0 <= m <= n:
         raise ValueError(f"order m = {m} must lie in [0, {n}], the polynomial degree")
-    sums = _minor_sums(arr, m, work_cap)
+    sums, _ = _minor_sums(arr, m, work_cap)
     return [math.factorial(k) * sums[k] for k in range(m + 1)]
 
 
@@ -670,15 +671,16 @@ def approx_log_permanent(
     """Approximate ln per(I + A), or ln PER(I + A) for a tensor.
 
     The returned value approximates the branch continued from
-    ln per(I) = 0 along z in [0, 1]. The measured effective lambda must
-    not exceed cfg.lam; when it is smaller it replaces cfg.lam in both
-    the order selection and the certified bound (tighter at no cost).
+    ln per(I) = 0 along z in [0, 1]. The input must be admissible
+    (InadmissibleInputError otherwise), and its measured effective lambda
+    must not exceed cfg.lam unless that is None; the measured lambda sets
+    both the order and the certified bound (tighter at no cost).
     An order above MAX_ORDER raises SizeCapError before any minor sum.
-    `threads` has no effect; it is kept for the determinism contract.
+    `threads` is accepted for compatibility and has no effect.
     """
     arr = _nonempty_tensor(a)
     report = require_admissible(arr)
-    if report.effective_lambda > cfg.lam:
+    if cfg.lam is not None and report.effective_lambda > cfg.lam:
         raise InadmissibleInputError(
             f"measured effective lambda {report.effective_lambda:.6g} exceeds "
             f"configured bound {cfg.lam:.6g}"
@@ -693,8 +695,7 @@ def approx_log_permanent(
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    parts = _components(arr)
-    sums = _minor_sums(arr, m_g, work_cap, parts)
+    sums, sizes = _minor_sums(arr, m_g, work_cap)
     g = [math.factorial(k) * sums[k] for k in range(m_g + 1)] + [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
     acc = ComplexNeumaier()
@@ -706,7 +707,7 @@ def approx_log_permanent(
         order_m=m,
         value=acc.value(),
         error_bound=taylor_tail_bound(n, lam, m),
-        components=tuple(len(group) for group in parts[1]),
+        components=sizes,
     )
 
 
@@ -720,10 +721,12 @@ def zero_scan(
 ) -> ZeroScanReport:
     """Scan |per(I + z A)| over a polar grid of the disk |z| <= radius.
 
-    The polynomial coefficients are the exact principal-minor sums, so each
-    grid value is an exact evaluation up to rounding. Default radius is
-    0.99 / effective_lambda, just inside the disk that admissibility
-    certifies to be zero-free. `threads` has no effect.
+    Each grid value evaluates the product of the component polynomials by
+    Horner's rule. Where its terms cancel, as on the sign -1 block family,
+    a small modulus can lie far above the true one (ROADMAP item I).
+    Default radius is 0.99 / effective_lambda, just inside the disk that
+    admissibility certifies to be zero-free. `threads` is accepted for
+    compatibility and has no effect.
     """
     if radial < 1 or angular < 1:
         raise ValueError("grid resolution must be positive")
@@ -733,7 +736,7 @@ def zero_scan(
     if radius is None:
         lam = check_dominance_tensor(arr).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0
-    sums = _minor_sums(arr, arr.shape[0], work_cap)
+    sums, _ = _minor_sums(arr, arr.shape[0], work_cap)
     radii = np.linspace(0.0, radius, radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from permtaylor import cli as cli_module
-from permtaylor import json_dumps, matrix_from_json, matrix_to_json
+from permtaylor import dominance, json_dumps, matrix_from_json, matrix_to_json
 
 
 @pytest.fixture
@@ -251,6 +251,48 @@ def test_exit_code_inadmissible(tmp_path, cli):
     code, _, err = cli("approx", str(path))
     assert code == 2
     assert "admissible" in err
+
+
+# first-part vertex 0 has degree Delta = 3
+DELTA_3 = {"d": 3, "n": 3, "edges": [[0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 1, 2], [0, 2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv,instance,code",
+    [
+        (["approx"], "matrix", 0),
+        (["approx", "--lambda", "0.9"], "matrix", 0),
+        (["approx", "--lambda", "0.2"], "matrix", 2),
+        (["approx"], "inadmissible", 2),
+        (["approx", "--lambda", "0.9"], "inadmissible", 2),
+        (["matching-stats", "--lambda", "0.4"], "hypergraph", 0),
+        (["matching-stats", "--lambda", "0.8"], "hypergraph", 2),
+    ],
+)
+def test_each_call_checks_dominance_once(tmp_path, monkeypatch, capsys, argv, instance, code):
+    docs = {
+        "matrix": matrix_to_json(np.diag([0.3, -0.2j, 0.1]) + 0.05),
+        "inadmissible": matrix_to_json(np.full((3, 3), 0.5)),
+        "hypergraph": DELTA_3,
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json_dumps(docs[instance]))
+    calls, real = [], dominance.check_dominance_tensor
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("permtaylor"):
+            if hasattr(module, "check_dominance_tensor"):
+                monkeypatch.setattr(module, "check_dominance_tensor", counted)
+    assert cli_module.run([*argv, str(path)]) == code
+    assert len(calls) == 1
+    if argv[0] == "matching-stats" and code == 2:
+        assert capsys.readouterr().err == (
+            "error: lam = 0.8 is too large: lam^2 (Delta - 1) = 1.28 must be below 1\n"
+        )
 
 
 def test_exit_code_size_cap(tmp_path, cli):

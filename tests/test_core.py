@@ -48,6 +48,10 @@ def test_identity_rejects_bad_sizes():
         identity_matrix(0)
     with pytest.raises(ValueError):
         identity_tensor(1, 3)
+    with pytest.raises(ValueError, match=N_MESSAGE):
+        identity_tensor(2, 3.0)
+    with pytest.raises(ValueError, match=D_MESSAGE):
+        identity_tensor(True, 3)
 
 
 def test_matrix_json_round_trip():
@@ -158,6 +162,7 @@ def test_json_dumps_rejects_non_finite_floats(bad):
 def test_approx_config_validation():
     ApproxConfig(lam=0.5, epsilon=0.01)
     assert ApproxConfig(lam=0.0, epsilon=0.01).lam == 0.0
+    assert ApproxConfig(lam=None, epsilon=0.01).lam is None
     with pytest.raises(ValueError):
         ApproxConfig(lam=-0.1, epsilon=0.01)
     with pytest.raises(ValueError):

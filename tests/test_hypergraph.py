@@ -86,6 +86,10 @@ def test_hypergraph_validation():
         DPartiteHypergraph(3, 2, ((0, 0, 2),))
     with pytest.raises(ValueError):
         DPartiteHypergraph(3, 2, ((0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match='"n" must be a positive integer'):
+        DPartiteHypergraph(3, 2.0, ((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(ValueError, match='"d" must be an integer >= 2'):
+        DPartiteHypergraph(3.0, 2, ((0, 0, 0), (1, 1, 1)))
 
 
 def test_weighted_tensor_slice_sums_follow_degrees():

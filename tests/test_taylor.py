@@ -9,6 +9,7 @@ Independent oracles used here:
   * branch-tracked exact log-permanents for the end-to-end bound.
 """
 
+import cmath
 import itertools
 import math
 
@@ -93,6 +94,12 @@ def test_choose_order_equals_linear_scan():
         while taylor_tail_bound(n, lam, m) > eps:
             m += 1
         assert choose_order(n, lam, eps) == m, (n, lam, eps)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan])
+def test_choose_order_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        choose_order(5, 0.5, epsilon)
 
 
 def test_tail_bound_strictly_decreasing():
@@ -249,6 +256,23 @@ def test_approx_block_family_both_signs():
         assert res.error_bound <= 0.01
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP I: the log solve on the multiplied component polynomials "
+    "cancels away the value of large sign -1 blocks",
+)
+def test_approx_block_family_minus_sign_large_n_within_bound():
+    # per(I + A) = (1 - lam^2)^(n/2); all three cases miss the bound until ROADMAP I
+    misses = []
+    for n, lam in [(30, 0.95), (60, 0.9), (60, 0.96)]:
+        res = approx_log_permanent(block_extremal_matrix(n, lam, -1), ApproxConfig(lam, 0.01))
+        exact = n / 2 * math.log(1 - lam * lam)
+        if not (cmath.isfinite(res.value) and abs(res.value - exact) <= res.error_bound):
+            misses.append((n, lam, res.value, res.error_bound))
+    assert not misses, misses
+
+
 def test_approx_within_bound_random():
     rng = np.random.default_rng(36)
     cfg = ApproxConfig(0.5, 0.01)
@@ -284,6 +308,16 @@ def test_approx_uses_measured_lambda_when_smaller():
     lam_eff = max(np.abs(m).sum(axis=1))
     assert res.error_bound == taylor_tail_bound(6, lam_eff, res.order_m)
     assert res.error_bound <= 0.01
+
+
+def test_approx_measures_lambda_when_config_lam_is_none():
+    rng = np.random.default_rng(40)
+    m = random_admissible_matrix(6, 0.6, rng)
+    lam_eff = max(np.abs(m).sum(axis=1))
+    measured = approx_log_permanent(m, ApproxConfig(None, 0.01))
+    assert measured == approx_log_permanent(m, ApproxConfig(lam_eff, 0.01))
+    with pytest.raises(InadmissibleInputError, match="not admissible"):
+        approx_log_permanent(np.full((4, 4), 0.3 + 0j), ApproxConfig(None, 0.01))
 
 
 def test_approx_rejects_lambda_above_configured():
@@ -366,6 +400,12 @@ def test_exact_log_halves_steps_that_turn_too_far():
     d = np.full(6, 0.9j)
     tracked = exact_log_permanent(np.diag(d), steps=1)
     assert tracked == pytest.approx(np.sum(np.log(1 + d)))
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True])
+def test_exact_log_rejects_steps_that_are_not_positive_ints(steps):
+    with pytest.raises(ValueError, match="steps must be an int >= 1"):
+        exact_log_permanent(np.diag([0.5, 0.25]), steps=steps)
 
 
 def test_exact_log_raises_when_halving_cannot_resolve_the_phase():
