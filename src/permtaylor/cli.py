@@ -3,12 +3,15 @@
 Each command reads one JSON instance file, writes a single JSON document
 to stdout, and keeps human-readable diagnostics on stderr. Exit status:
 0 success, 1 parse/IO error, 2 inadmissible input, 3 size-cap exceeded.
-All floats in output are rendered with 17 significant digits.
+All floats in output are rendered with 17 significant digits. Each
+command's parser, and the full tree, is built once per process and reused
+by every later `run` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,9 +269,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of one command, whose help and usage read as in the full
-    tree, or with no command the full tree of subcommands."""
+    tree, or with no command the full tree of subcommands.
+
+    Each parser is built once per process and shared by every caller, so
+    treat it as read-only: parse with it, never add to it. Parsing leaves
+    it unchanged, and help is sized to the terminal when it is formatted,
+    not when the parser is built."""
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"permtaylor {command}")
         COMMANDS[command][1](parser)
@@ -286,8 +295,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """One call; returns the exit status. A call that names a command builds
-    that command's parser alone; the full tree parses any other argv."""
+    """One call; returns the exit status. A call that names a command parses
+    with that command's parser alone; the full tree parses any other argv.
+    Both come from `build_parser`, built on first use in the process."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:
         args = build_parser(argv[0]).parse_args(argv[1:])

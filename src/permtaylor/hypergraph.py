@@ -215,9 +215,10 @@ def matching_stats(
 ) -> MatchingStatsResult:
     """Approximate sum_M lam^dist(M, M0) for the diagonal base matching M0.
 
-    Builds the zero-diagonal weighted tensor lam^2 (A - I) and runs the
-    Taylor approximation of the log at its measured lambda, which also
-    checks slice dominance. The result carries both the log-space value
+    Builds the zero-diagonal weighted tensor lam^2 (A - I), whose n^d
+    entries are charged against `work_cap` first, and runs the Taylor
+    approximation of the log at its measured lambda, which also checks
+    slice dominance. The result carries both the log-space value
     with its additive bound and the exponentiated count with relative
     bound e^bound - 1. `threads` is accepted for compatibility and has no
     effect.
@@ -232,6 +233,12 @@ def matching_stats(
             "normalize_base_matching first"
         )
     delta = max(h.first_part_degrees())
+    entries = h.n**h.d
+    if entries > work_cap:
+        raise SizeCapError(
+            f"dense encoding of the hypergraph needs n^d = {entries} tensor entries, "
+            f"cap is {work_cap}"
+        )
     t = encode_tensor(h)
     t[diagonal_index(h.d, h.n)] = 0.0
     t *= lam * lam

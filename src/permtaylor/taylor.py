@@ -722,7 +722,8 @@ def zero_scan(
     """Scan |per(I + z A)| over a polar grid of the disk |z| <= radius.
 
     Each grid value evaluates the product of the component polynomials by
-    Horner's rule. Where its terms cancel, as on the sign -1 block family,
+    Horner's rule; its radial x angular x (n + 1) steps are charged against
+    `work_cap` before any work. Where its terms cancel, as on the sign -1 block family,
     a small modulus can lie far above the true one (ROADMAP item I).
     Default radius is 0.99 / effective_lambda, just inside the disk that
     admissibility certifies to be zero-free. `threads` is accepted for
@@ -733,6 +734,12 @@ def zero_scan(
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     arr = _nonempty_tensor(a)
+    steps = radial * angular * (arr.shape[0] + 1)
+    if steps > work_cap:
+        raise SizeCapError(
+            f"zero-scan grid needs radial x angular x (n + 1) = {steps} steps, "
+            f"cap is {work_cap}"
+        )
     if radius is None:
         lam = check_dominance_tensor(arr).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from permtaylor import cli as cli_module
-from permtaylor import dominance, json_dumps, matrix_from_json, matrix_to_json
+from permtaylor import dominance, hypergraph, json_dumps, matrix_from_json, matrix_to_json, taylor
 
 
 @pytest.fixture
@@ -323,6 +323,38 @@ def test_exact_matrix_cap_charges_every_row_sum(tmp_path, monkeypatch, capsys):
     assert out == "" and "n^2 2^n = 2030043136 steps, cap is 1000000000" in err
 
 
+@pytest.mark.parametrize("grid, cap, steps", [
+    ("8x16", ["--work-cap", "800"], 896),
+    ("30000x30000", [], 6_300_000_000),
+], ids=["small-cap", "default-cap"])
+def test_zero_scan_charges_the_grid_before_any_work(matrix_file, monkeypatch, capsys, grid,
+                                                    cap, steps):
+    # Horner's rule over the n + 1 = 7 coefficients at every grid point
+    monkeypatch.setattr(taylor, "_minor_sums", lambda *a: pytest.fail("minor sums ran"))
+    assert cli_module.run(["zero-scan", "--grid", grid, *cap, str(matrix_file)]) == 3
+    out, err = capsys.readouterr()
+    limit = cap[1] if cap else taylor.WORK_CAP
+    assert out == ""
+    assert err == f"error: zero-scan grid needs radial x angular x (n + 1) = {steps} steps, " \
+        f"cap is {limit}\n"
+
+
+def test_matching_stats_charges_the_dense_encoding(tmp_path, monkeypatch, capsys):
+    # the diagonal matching alone, d = 3 and n = 12: its dense tensor has 1,728 entries
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"d": 3, "n": 12, "edges": [[i] * 3 for i in range(12)]}))
+    argv = ["matching-stats", "--lambda", "0.4", str(path)]
+    with monkeypatch.context() as m:
+        m.setattr(hypergraph, "encode_tensor", lambda h: pytest.fail("encoded"))
+        assert cli_module.run([*argv, "--work-cap", "1727"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dense encoding of the hypergraph needs n^d = 1728 tensor entries, " \
+        "cap is 1727\n"
+    assert cli_module.run([*argv, "--work-cap", "1728"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == [1.0, 0.0]
+
+
 def test_orders_above_170_exit_with_size_cap(tmp_path, cli):
     code, out, _ = cli("gen", "block", "--n", "6", "--lambda", "0.98")
     path = tmp_path / "b.json"
@@ -382,17 +414,69 @@ def test_command_parser_matches_the_full_tree(name):
     assert vars(alone.parse_args(argv)) == from_tree
 
 
-def test_run_builds_only_the_named_commands_parser(matrix_file, monkeypatch, capsys):
+def test_a_fresh_cache_builds_the_named_commands_parser_once(matrix_file, monkeypatch, capsys):
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    cli_module.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert cli_module.run(["approx", str(matrix_file)]) == 0
     assert built == ["permtaylor approx"]
-    assert list(json.loads(capsys.readouterr().out))[0] == "m"
+    assert cli_module.run(["approx", "--epsilon", "0.1", str(matrix_file)]) == 0
+    assert built == ["permtaylor approx"]
+    assert [list(json.loads(line))[0] for line in capsys.readouterr().out.splitlines()] == [
+        "m", "m"]
+
+
+def test_options_do_not_carry_over_to_the_next_call(matrix_file, monkeypatch, capsys):
+    seen, approx = [], cli_module.approx_log_permanent
+
+    def recording_approx(arr, cfg, **kwargs):
+        seen.append(cfg.lam)
+        return approx(arr, cfg, **kwargs)
+
+    monkeypatch.setattr(cli_module, "approx_log_permanent", recording_approx)
+    assert cli_module.run(["approx", "--lambda", "0.5", str(matrix_file)]) == 0
+    assert cli_module.run(["approx", str(matrix_file)]) == 0
+    assert seen == [0.5, None]
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+HELP_AND_USAGE_ERRORS = [
+    ["-h"],
+    [],
+    ["bogus"],
+    *([name, "-h"] for name in COMMAND_ARGVS),
+    ["approx"],
+    ["approx", "m.json", "--bogus"],
+    ["approx", "m.json", "--order", "two"],
+    ["matching-stats", "h.json"],
+    ["gen", "cube"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=lambda argv: "_".join(argv) or "none")
+def test_cached_parsers_print_what_a_fresh_parser_prints(argv, monkeypatch, capsys):
+    # the cached parser is built at one terminal width and used at another:
+    # help is sized when it is formatted, so only the width in force counts
+    monkeypatch.setenv("COLUMNS", "120")
+    first = _exit_of(cli_module.run, argv, capsys)
+    monkeypatch.setenv("COLUMNS", "48")
+    command = argv[0] if argv and argv[0] in cli_module.COMMANDS else None
+    fresh = cli_module.build_parser.__wrapped__(command)
+    expected = _exit_of(fresh.parse_args, argv[1:] if command else argv, capsys)
+    assert _exit_of(cli_module.run, argv, capsys) == expected
+    assert first[0] == expected[0] == (0 if "-h" in argv else 2)
+    if "-h" in argv:
+        assert first[1] != expected[1]
 
 
 def test_main_reads_sys_argv(matrix_file, monkeypatch, capsys):
