@@ -14,6 +14,7 @@ the index tuple (i1, ..., id). All indices are 0-based.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -219,6 +220,12 @@ def tensor_to_json(t) -> dict:
 # Deterministic JSON rendering (17 significant digits for floats)
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _float_list_format(length: int) -> str:
+    """'[%.17g, ..., %.17g]' with `length` fields."""
+    return "[" + ", ".join(["%.17g"] * length) + "]"
+
+
 def _render(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -236,10 +243,10 @@ def _render(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
-        # a grid row or a complex pair in one join; same bytes as the items one by one
+        # a grid row or a complex pair in one format; same bytes as the items one by one
         if not all(map(math.isfinite, obj)):
             raise ValueError("non-finite number in JSON output")
-        out.append("[" + ", ".join(["%.17g" % v for v in obj]) + "]")
+        out.append(_float_list_format(len(obj)) % tuple(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

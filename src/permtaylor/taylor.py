@@ -49,6 +49,10 @@ WORK_CAP = 10**9
 MAX_ORDER = 170
 # entries in the engine's largest per-block temporary
 BLOCK_ENTRIES = 1 << 16
+# most columns in one matrix block
+BLOCK_COLUMNS = 2048
+# numpy's ufunc buffer size, in items, inside the engine
+UFUNC_BUFFER = 1024
 # index bytes of the co-subset plans kept between calls (see _plan)
 PLAN_BYTES = 1 << 22
 
@@ -155,21 +159,42 @@ def minor_sum_work(n: int, d: int, m: int) -> int:
     return total
 
 
+def _block_budget(n: int, p: int, u: int) -> tuple[int, int]:
+    """Most columns and most patterns in one block at co-subset size u.
+
+    A matrix block carries n row sums in each of its columns, at most
+    BLOCK_COLUMNS of them. A tensor block meets P patterns and gathers
+    (u + 1)^(d-1) padded entries for each of its n slice sums per column.
+    The sizes keep those temporaries below BLOCK_ENTRIES and depend on
+    (n, p, u) alone.
+    """
+    if p == 1:
+        return max(1, min(BLOCK_COLUMNS, BLOCK_ENTRIES // n)), 1
+    width = (u + 1) ** p.bit_length()
+    npb = min(p**u, max(1, BLOCK_ENTRIES // width))
+    return max(1, BLOCK_ENTRIES // (n * max(width, npb))), npb
+
+
 def _block_sizes(n: int, p: int, u: int) -> tuple[int, int]:
     """Most co-subsets and most patterns in one block at co-subset size u.
 
-    A matrix block carries K x n row sums. A tensor block meets P patterns
-    and gathers (u + 1)^(d-1) padded entries for each of its K n slice
-    sums. The sizes keep those temporaries below BLOCK_ENTRIES and depend
-    on (n, p, u) alone, which fixes the block layout. K is at most the
-    C(n, u) co-subsets there are: that splits no block differently, and
-    sizes the workspace by the blocks that can occur.
+    K = min(C(n, u), budget) with the column budget of _block_budget, so
+    a matrix block has K_u = min(C(n, u), BLOCK_COLUMNS, BLOCK_ENTRIES // n)
+    columns. The sizes depend on (n, p, u) alone, which fixes the block
+    layout. K is at most the C(n, u) co-subsets there are: that splits no
+    block differently, and sizes the workspace by the blocks that can occur.
     """
-    if p == 1:
-        return min(math.comb(n, u), max(1, min(1024, BLOCK_ENTRIES // n))), 1
-    width = (u + 1) ** p.bit_length()
-    npb = min(p**u, max(1, BLOCK_ENTRIES // width))
-    return min(math.comb(n, u), max(1, BLOCK_ENTRIES // (n * max(width, npb)))), npb
+    columns, npb = _block_budget(n, p, u)
+    return min(math.comb(n, u), columns), npb
+
+
+def _batch_limit(n: int, p: int, m: int) -> int:
+    """Most arrays of size n that one engine pass takes at order m.
+
+    A pass over B arrays widens each block to B K columns, so B is the
+    least, over the sizes u <= m, of the column budget over K_u.
+    """
+    return min(_block_budget(n, p, u)[0] // _block_sizes(n, p, u)[0] for u in range(m + 1))
 
 
 def _co_subset_blocks(n: int, m: int, caps):
@@ -297,12 +322,15 @@ def _buffers(key: str, dtype, sizes) -> list[np.ndarray]:
 
     The buffer outlives the call and grows only when a call needs more, so
     the engine's block temporaries reuse pages that are already mapped
-    instead of fresh ones. A request overwrites the views that the last
-    request for the same key handed out, so the engine is not re-entrant
-    within one thread.
+    instead of fresh ones. The old buffer is let go before the larger one
+    is taken, so the two never add up in the peak. A request overwrites
+    the views that the last request for the same key handed out, so the
+    engine is not re-entrant within one thread.
     """
     buf = getattr(_workspace, key, None)
     if buf is None or len(buf) < sum(sizes):
+        buf = None
+        setattr(_workspace, key, None)
         buf = np.empty(sum(sizes), dtype)
         setattr(_workspace, key, buf)
     views, at = [], 0
@@ -355,62 +383,139 @@ def _slice_sums(w: np.ndarray, entries: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _matrix_terms(a: np.ndarray, m: int, sizes):
-    """(u, lead, r) for each co-subset block of a matrix; see _minor_sums.
+def _matrix_terms(stack: np.ndarray, m: int, sizes):
+    """(u, lead, r, e1) for each co-subset block of a stack of B matrices; see _ryser_stack.
+
+    Column b K + j of a block is co-subset j of matrix b. The matrices sit
+    side by side in a, matrix b in columns b n .. b n + n - 1, so each
+    gather serves all B at offsets b n (b K in a carried array). Row n of
+    a holds the column sums, so its row sum over the columns not in U is
+    T(U), the sum of all the row sums r_i(U).
 
     A child's row sums are its parent's minus one column,
-    r(U + {j}) = r(U) - a[:, j], so each block below order m costs one
-    column gather per co-subset. The lead needs r only at the rows of U,
-    2u gathered entries; it is formed the same way at every order, which
-    keeps lower orders a bit-exact prefix of higher ones. Below order m, r
-    is the carried row sums themselves with the rows of U zeroed while the
-    consumer holds them, and restored before the children read them. Every
-    block temporary is a view of this thread's workspace.
+    r(U + {j}) = r(U) - a[:, j]. The lead needs them only at the rows of
+    U: the parent's lead factors, and r_j(U) for the new row. So a block
+    keeps its factors, T(U) with r_i(U) for i in U, and takes T(U + {j})
+    and the old rows' factors from them; only r_j(U) comes from the
+    carried row sums. Those are carried at sizes 0..m-2:
+
+    - e_1, the sum of r_i(U) over i not in U, is T(U) minus the lead's
+      factors, before their product, in row order. Every u >= 1 forms e_1
+      this way, so order m - 1 yields its lead and e_1 alone (r is None).
+      The root yields its row sums instead (e1 is None).
+    - Order m takes r_j from the grandparent's row sums less the parent's
+      last column, the subtraction that row sums carried at m - 1 would make.
+
+    Every factor is thus the chain of subtractions that carried row sums
+    make, so a block forms lead and e_1 the same way at every order, which
+    keeps lower orders a bit-exact prefix of higher ones. Below order
+    m - 1, r is the carried row sums with the rows of U zeroed; they stay
+    zeroed, since no later block reads them there. Every block temporary
+    is a view of this thread's workspace.
     """
-    n, caps = len(a), [k for k, _ in sizes]
-    wide = max(caps)
-    # a gathered column, the lead's two gathers and product, then the row
-    # sums carried at sizes 1..m-1
-    regions = [n * wide, m * wide, m * wide, wide] + [n * k for k in caps[1:m]]
-    column, kept, removed, product, *levels = _buffers("terms", np.complex128, regions)
-    wide_rows, index, wide_parent = _buffers("index", np.intp, [m * wide, m * wide, wide])
-    columns = np.arange(wide)
-    # row sums (n x K) of the last block yielded at each size below m
-    carry = [a.sum(axis=1)[:, None]] + [None] * m
+    nb, n = stack.shape[:2]
+    caps = [k for k, _ in sizes]
+    wide = nb * max(caps)
+    a = stack.transpose(1, 0, 2).reshape(n, nb * n)
+    a = np.concatenate((a, a.sum(axis=0)[None]))
+    # entry (i, c) of a at c (n + 1) + i, so a gather adds the rows to one offset
+    a_t = a.T.ravel()
+    # the top order's factors and the entries removed from factors, which
+    # also hold gathered columns for the row sums; the lead and e_1; the
+    # factors kept at each size below m, and the row sums carried at sizes
+    # 1..m-2
+    carried = caps[1 : max(m - 1, 1)]
+    regions = [2 * m * wide, wide, wide]
+    regions += [(u + 1) * nb * k for u, k in enumerate(caps[1:m], 1)]
+    regions += [(n + 1) * nb * k for k in carried]
+    scratch, product, first, *held = _buffers("terms", np.complex128, regions)
+    kept, removed = scratch[: m * wide], scratch[m * wide :]
+    held, levels = held[: max(m - 1, 0)], held[max(m - 1, 0) :]
+    wide_rows, index, wide_parent, grand, up_at, col_at, cut_at = _buffers(
+        "index", np.intp, [(m + 1) * wide, m * wide, max(caps), max(caps), wide, wide, wide]
+    )
+    batch = np.arange(nb)[:, None]
+
+    def offsets(out, at, scale, width):
+        # at * scale + b width for every matrix b: the block's B K positions
+        # of the per-matrix indices at
+        if nb == 1:
+            return at if scale == 1 else np.multiply(at, scale, out=out[: len(at)])
+        out = _shaped(out, nb, len(at))
+        np.multiply(at, scale, out=out)
+        out += batch * width
+        return out.ravel()
+
+    # row sums ((n + 1) x B K) and factors of the last block at each size;
+    # row n of the row sums, and row 0 of the factors, is T
+    carry = [a.reshape(n + 1, nb, n).sum(axis=2)] + [None] * m
+    kept_factors = [carry[0][n:]] + [None] * m
     for rows, parent in _plan(n, m, caps):
         u, k = rows.shape
         if not u:
-            yield 0, np.ones(1), carry[0]
+            yield 0, np.ones(nb), carry[0][:n], None
             continue
-        # mode="raise" would copy through a temporary; _plan checked the block
-        rows, parent = _copied(wide_rows, rows), _copied(wide_parent, parent)
-        up, last = carry[u - 1], rows[-1]
-        at = _shaped(index, u, k)
-        np.multiply(rows, up.shape[1], out=at)
-        at += parent
-        lead = up.take(at, out=_shaped(kept, u, k), mode="clip")
-        np.multiply(rows, n, out=at)
-        at += last
-        lead -= a.take(at, out=_shaped(removed, u, k), mode="clip")
-        lead = np.multiply.reduce(lead, axis=0, out=product[:k])
+        c, top = nb * k, int(u == m)
+        # row n, then the rows of U, widened and repeated for each matrix;
+        # mode="raise" would copy through a temporary, and _plan checked the block
+        ext = _shaped(wide_rows, u + 1, nb, k)
+        ext[0], ext[1:] = n, rows[:, None]
+        ext = ext[top:].reshape(u + 1 - top, c)
+        rows, parent = ext[1 - top :], _copied(wide_parent, parent)
+        # T and the old rows' factors from the parent's; order m needs no T
+        before = kept_factors[u - 1]
+        up = offsets(up_at, parent, 1, before.shape[1] // nb)
+        factors = _shaped(kept if top else held[u - 1], len(ext), c)
+        before[top:].take(up, axis=1, out=factors[:-1], mode="clip")
+        # the new row's r_j from the parent's row sums; order m has none
+        # carried, so it starts from the grandparent's, less the parent's column
+        if u == m > 1:
+            src = carry[u - 2]
+            at = grand.take(parent, out=_shaped(col_at, k), mode="clip")
+            at = offsets(up_at, at, 1, src.shape[1] // nb)
+        else:
+            src, at = carry[u - 1], up
+        new = np.multiply(rows[-1], src.shape[1], out=_shaped(cut_at, c))
+        new += at
+        src.take(new, out=factors[-1], mode="clip")
+        if u == m > 1:
+            cut = offsets(col_at, rows[-2, :k], n + 1, (n + 1) * n)
+            new = np.add(rows[-1], cut, out=_shaped(cut_at, c))
+            factors[-1] -= a_t.take(new, out=_shaped(removed, c), mode="clip")
+        cut = offsets(col_at, rows[-1, :k], n + 1, (n + 1) * n)
+        at = np.add(ext, cut, out=_shaped(index, len(ext), c))
+        factors -= a_t.take(at, out=_shaped(removed, len(ext), c), mode="clip")
+        # the last u rows of factors are r_i(U), i in U
+        lead = np.multiply.reduce(factors[-u:], axis=0, out=product[:c])
         if u % 2:
             np.negative(lead, out=lead)
-        if u == m:
-            yield u, lead, None
+        if top:
+            yield u, lead, None, None
             continue
-        r = carry[u] = up.take(parent, axis=1, out=_shaped(levels[u - 1], n, k), mode="clip")
-        r -= a.take(last, axis=1, out=_shaped(column, n, k), mode="clip")
-        # flat positions of the rows of U in r; kept is free once the lead is formed
-        np.multiply(rows, k, out=at)
-        at += columns[:k]
-        hidden = r.take(at, out=_shaped(kept, u, k), mode="clip")
+        # subtract never sums pairwise, so one column gives the bits that many do
+        e1 = np.subtract.reduce(factors, axis=0, out=first[:c])
+        kept_factors[u] = factors
+        if u == m - 1:
+            grand[:k] = parent
+            yield u, lead, None, e1
+            continue
+        cut = offsets(cut_at, rows[-1, :k], 1, n)
+        r = carry[u] = src.take(up, axis=1, out=_shaped(levels[u - 1], n + 1, c), mode="clip")
+        # column j of a, as many rows at a time as scratch holds
+        step = len(scratch) // c
+        for i in range(0, n + 1, step):
+            part = a[i : i + step]
+            part = part.take(cut, axis=1, out=_shaped(scratch, len(part), c), mode="clip")
+            r[i : i + step] -= part
+        # flat positions of the rows of U in r
+        at = np.multiply(rows, c, out=_shaped(index, u, c))
+        at += np.arange(c)
         r.put(at, 0.0, mode="clip")
-        yield u, lead, r
-        r.put(at, hidden, mode="clip")
+        yield u, lead, r[:n], e1
 
 
-def _tensor_terms(arr: np.ndarray, m: int, sizes):
-    """(u, lead, r) for each (co-subset block, pattern block) of a d >= 3 tensor.
+def _tensor_terms(stack: np.ndarray, m: int, sizes):
+    """(u, lead, r, None) for each (co-subset block, pattern block) of a stack of B tensors.
 
     A removed index's slice depends on the sets removed on the other axes,
     so the slice sums come from a padded array rather than from the
@@ -418,17 +523,19 @@ def _tensor_terms(arr: np.ndarray, m: int, sizes):
     axis; padding the axes one after another also fills the mixed partial
     sums. A co-subset block gathers the padded entries at the rows of U
     and slot n once, for the rows of U and, below order m, for all n rows;
-    each pattern block then weighs them (_slice_sums). Every block
-    temporary is a view of this thread's workspace.
+    each pattern block then weighs them (_slice_sums). Tensor b's padded
+    entries sit at offset b n (n + 1)^(d-1), and its columns come first
+    in lead and r: column (b P + q) K + j is pattern q of co-subset j of
+    tensor b. Every block temporary is a view of this thread's workspace.
     """
-    d, n = arr.ndim, arr.shape[0]
-    ext = arr
-    for t in range(1, d):
+    nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
+    ext = stack
+    for t in range(2, d + 1):
         ext = np.concatenate((ext, ext.sum(axis=t, keepdims=True)), axis=t)
     ext, stride = ext.ravel(), (n + 1) ** (d - 1)
     # entries gathered, and slice sums formed, for each row of a block of each size
-    gather = [k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes)]
-    slices = [k * npb for k, npb in sizes]
+    gather = [nb * k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes)]
+    slices = [nb * k * npb for k, npb in sizes]
     lead_in, all_in, summed, product = _buffers(
         "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
     )
@@ -438,7 +545,8 @@ def _tensor_terms(arr: np.ndarray, m: int, sizes):
     )
     weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
     weights = _buffers("weights", np.float64, [weight_size] * 2)
-    row_offsets = np.arange(n)[:, None, None] * stride
+    row_offsets = np.arange(n)[:, None, None, None] * stride
+    batch_offsets = np.arange(nb)[:, None, None] * (n * stride)
     for rows, _ in _plan(n, m, caps):
         # mode="raise" would copy through a temporary; _plan checked the block
         rows = _copied(wide_rows, rows)
@@ -448,32 +556,38 @@ def _tensor_terms(arr: np.ndarray, m: int, sizes):
         for _ in range(d - 1):
             slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
         width = len(slots)
-        at = np.add((rows * stride)[:, None], slots, out=_shaped(lead_at, u, width, k))
-        lead_entries = ext.take(at, out=_shaped(lead_in, u, width, k), mode="clip")
+        at = np.add((rows * stride)[:, None, None], slots, out=_shaped(lead_at, u, nb, width, k))
+        if nb > 1:
+            at += batch_offsets
+        lead_entries = ext.take(at, out=_shaped(lead_in, u, nb, width, k), mode="clip")
         if u < m:
-            at = np.add(row_offsets, slots, out=_shaped(all_at, n, width, k))
-            all_entries = ext.take(at, out=_shaped(all_in, n, width, k), mode="clip")
+            at = np.add(row_offsets, slots, out=_shaped(all_at, n, nb, width, k))
+            if nb > 1:
+                at += batch_offsets
+            all_entries = ext.take(at, out=_shaped(all_in, n, nb, width, k), mode="clip")
         for vals in _pattern_blocks((1 << (d - 1)) - 1, u, sizes[u][1]):
             hits = (vals >> np.arange(d - 1)[:, None, None]) & 1
             w = _pattern_weights(hits, weights)
             npat = len(w)
             sign = np.where(hits.sum(axis=(0, 2)) % 2, -1.0, 1.0)[:, None]
-            lead = _slice_sums(w, lead_entries, _shaped(summed, u, npat, k))
-            lead = np.multiply.reduce(lead, axis=0, out=_shaped(product, npat, k))
+            lead = _slice_sums(w, lead_entries, _shaped(summed, u, nb, npat, k))
+            lead = np.multiply.reduce(lead, axis=0, out=_shaped(product, nb, npat, k))
             lead *= sign
             r = None
             if u < m:
-                r = _slice_sums(w, all_entries, _shaped(summed, n, npat, k))
-                r[rows, :, np.arange(k)] = 0.0
+                r = _slice_sums(w, all_entries, _shaped(summed, n, nb, npat, k))
+                r[rows, :, :, np.arange(k)] = 0.0
                 r = r.reshape(n, -1)
-            yield u, lead.ravel(), r
+            yield u, lead.ravel(), r, None
 
 
-def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
-    """c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
+def _ryser_stack(stack: np.ndarray, m: int) -> np.ndarray:
+    """c_k = sum over k-subsets I of PER A_I, for k = 0..m and each A in a stack.
 
-    Ryser's inclusion-exclusion on each of the d - 1 permutation axes
-    writes PER(I + zA) as a signed sum over column-subset tuples
+    stack holds B arrays of one shape (n, ..., n), d >= 2; row b of the
+    (B, m + 1) result holds the c_k of stack[b]. Ryser's
+    inclusion-exclusion on each of the d - 1 permutation axes writes
+    PER(I + zA) as a signed sum over column-subset tuples
     (S_0, ..., S_{d-2}) of prod_i ([i in every S_t] + z r_i), with the
     masked slice sums r_i. With T_t the complement of S_t and U = union of
     the T_t, every row of U contributes a factor z, so only tuples with
@@ -484,41 +598,66 @@ def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
     where e_j is the elementary symmetric polynomial. For d = 2 this is
     Ryser's formula truncated at order m. The co-subsets U are walked as a
     prefix tree (_co_subset_blocks, read from a cached plan, see _plan),
-    and the step picked by d yields each block's signed lead products and,
-    below order m, its slice sums (n x tuples) with the rows of U zeroed,
-    valid until the step resumes. Order m needs only the lead, so
-    its tuples, the most numerous, cost O(u (u + 1)^(d-1)) whatever n is.
-    The block layout depends on (n, d, u) alone, and the block partials are
-    folded in walk order, so repeated calls give bit-identical results.
+    and the step picked by d yields each block's signed lead products,
+    for a matrix at 1 <= u < m its e_1, and, where needed, its slice sums
+    (n x columns) with the rows of U zeroed, valid until the step resumes.
+    Order m needs only the lead, so its tuples, the most numerous, cost
+    O(u (u + 1)^(d-1)) whatever n is.
+
+    The B arrays share one walk: each block holds B K columns, array b's
+    first, and the fold sums each array's columns apart, so row b is bit
+    for bit what a stack of stack[b] alone gives. The block layout depends
+    on (n, d, u) alone, and the block partials are folded in walk order,
+    so repeated calls give bit-identical results.
 
     Every block temporary, the recurrence's included, is a view of a
     per-thread workspace sized from _block_sizes (see _buffers), and the
     walk's indices come from its plan, so after the first call of a size
     the loop allocates nothing large.
     """
-    d, n = arr.ndim, arr.shape[0]
+    nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
     sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]
-    terms = _matrix_terms(arr, m, sizes) if d == 2 else _tensor_terms(arr, m, sizes)
+    terms = _matrix_terms(stack, m, sizes) if d == 2 else _tensor_terms(stack, m, sizes)
     # e_0..e_(m-u) and one recurrence step for the widest block of each size u
-    widths = [(m - u, k * npb) for u, (k, npb) in enumerate(sizes)]
+    widths = [(m - u, nb * k * npb) for u, (k, npb) in enumerate(sizes)]
     regions = [max((j + 1) * w for j, w in widths), max(j * w for j, w in widths)]
     powers, step = _buffers("recurrence", np.complex128, regions)
-    sums = np.zeros(m + 1, dtype=np.complex128)
-    for u, lead, r in terms:
-        e = _shaped(powers, m - u + 1, len(lead))
-        lo, hi = e[:-1], e[1:]
-        e[0], hi[...] = 1.0, 0.0
-        if u == m - 1 and len(lead) > 1:
-            # e_1 alone: the recurrence's running sum, added row by row as
-            # numpy reduces a leading axis (a lone column would sum pairwise)
-            np.add.reduce(r, axis=0, out=hi[0])
-        elif u < m:
-            t = _shaped(step, m - u, len(lead))
-            for ri in r:
-                hi += np.multiply(ri, lo, out=t)
-        e *= lead
-        sums[u:] += e.sum(axis=1)
-    return [complex(c) for c in sums]
+    sums = np.zeros((nb, m + 1), dtype=np.complex128)
+    # numpy gives every broadcast operand a fresh buffer of bufsize items
+    bufsize = np.setbufsize(UFUNC_BUFFER)
+    try:
+        for u, lead, r, e1 in terms:
+            if r is None:
+                # e_0 = 1, and 1 * lead is lead bit for bit
+                sums[:, u] += lead.reshape(nb, -1).sum(axis=1)
+                if e1 is not None:
+                    e1 = np.multiply(e1, lead, out=powers[: len(lead)])
+                    sums[:, u + 1] += e1.reshape(nb, -1).sum(axis=1)
+                continue
+            e = _shaped(powers, m - u + 1, len(lead))
+            lo, hi = e[:-1], e[1:]
+            e[0], hi[...] = 1.0, 0.0
+            if u == m - 1 and len(lead) > 1:
+                # e_1 alone: the recurrence's running sum, added row by row as
+                # numpy reduces a leading axis (a lone column would sum pairwise)
+                np.add.reduce(r, axis=0, out=hi[0])
+            else:
+                t = _shaped(step, m - u, len(lead))
+                for ri in r:
+                    hi += np.multiply(ri, lo, out=t)
+            if e1 is not None:
+                e[1] = e1
+            e *= lead
+            # each array's columns summed apart
+            sums[:, u:] += e.reshape(m - u + 1, nb, -1).sum(axis=2).T
+    finally:
+        np.setbufsize(bufsize)
+    return sums
+
+
+def _ryser_sums(arr: np.ndarray, m: int) -> list[complex]:
+    """c_0..c_m of one array: _ryser_stack on a stack of one."""
+    return [complex(c) for c in _ryser_stack(arr[None], m)[0]]
 
 
 def _reach(adj: np.ndarray) -> np.ndarray:
@@ -564,9 +703,13 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     of the other G_t. The groups are then the strong components of the
     union of the G_t, in order of their smallest vertex, and PER(I + zA)
     is the product of PER(I + zA_C) over the principal subarrays A_C of
-    the returned array. When there is one group, the array is arr itself.
+    the returned array. When there is one group, the array is arr itself;
+    an array with no zero entry is one group at once.
     """
     d, n = arr.ndim, arr.shape[0]
+    if np.count_nonzero(arr) == arr.size:
+        # every G_t is complete: one component, and every entry is on a term
+        return arr, [np.arange(n)]
     idx = np.nonzero(arr)
     keep = np.ones(len(idx[0]), dtype=bool)
     while d > 2:
@@ -591,13 +734,16 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
     """(c, sizes): c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
 
     PER(I + zA) factors over the strong components of its support
-    (_components), so _ryser_sums runs once per component C at order
-    min(m, n_C), and the cap is charged for that work. The component
-    polynomials are multiplied in component order, each coefficient
-    summed in a fixed order, which keeps lower orders a bit-exact prefix
-    of higher ones. A single component runs _ryser_sums on arr itself,
-    whose sums keep a -0.0 that the product would turn into +0.0. The
-    sizes n_C come in order of each component's smallest vertex.
+    (_components), so the engine runs on each component C at order
+    min(m, n_C), and the cap is charged for that work. Components of one
+    size share engine passes (_ryser_stack), as many at a time as
+    _batch_limit allows; each one's sums are bit for bit those of a pass
+    of its own. The component polynomials are multiplied in component
+    order, each coefficient summed in a fixed order, which keeps lower
+    orders a bit-exact prefix of higher ones. A single component runs
+    the engine on arr itself, whose sums keep a -0.0 that the product
+    would turn into +0.0. The sizes n_C come in order of each component's
+    smallest vertex.
     """
     d = arr.ndim
     reduced, groups = _components(arr)
@@ -608,9 +754,21 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
     if len(groups) == 1:
         return _ryser_sums(arr, m), sizes
+    # component indices by size; with m fixed, the size also fixes the order
+    by_size: dict[int, list[int]] = {}
+    for c, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(c)
+    parts = [None] * len(groups)
+    for size, members in by_size.items():
+        k = min(m, size)
+        step = _batch_limit(size, (1 << (d - 1)) - 1, k)
+        for s in range(0, len(members), step):
+            batch = members[s : s + step]
+            stack = np.stack([reduced[np.ix_(*(groups[c],) * d)] for c in batch])
+            for c, row in zip(batch, _ryser_stack(stack, k)):
+                parts[c] = [complex(x) for x in row]
     sums = [complex(1.0)] + [complex(0.0)] * m
-    for g, k in zip(groups, orders):
-        c = _ryser_sums(reduced[np.ix_(*(g,) * d)], k)
+    for c, k in zip(parts, orders):
         sums = [sum(c[j] * sums[i - j] for j in range(min(i, k) + 1)) for i in range(m + 1)]
     return sums, sizes
 
@@ -724,7 +882,8 @@ def zero_scan(
     Each grid value evaluates the product of the component polynomials by
     Horner's rule; its radial x angular x (n + 1) steps are charged against
     `work_cap` before any work. Where its terms cancel, as on the sign -1 block family,
-    a small modulus can lie far above the true one (ROADMAP item I).
+    a small modulus can lie far above the true one (ROADMAP item I). A
+    grid value that overflows raises ValueError, which names the radius.
     Default radius is 0.99 / effective_lambda, just inside the disk that
     admissibility certifies to be zero-free. `threads` is accepted for
     compatibility and has no effect.
@@ -747,10 +906,15 @@ def zero_scan(
     radii = np.linspace(0.0, radius, radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]
-    val = np.full_like(z, sums[-1])
-    for c in reversed(sums[:-1]):
-        val = val * z + c
-    moduli = np.abs(val)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.full_like(z, sums[-1])
+        for c in reversed(sums[:-1]):
+            val = val * z + c
+        moduli = np.abs(val)
+    if not np.isfinite(moduli).all():
+        raise ValueError(
+            f"zero-scan radius {radius!r} is too large: the polynomial overflows on the grid"
+        )
     flat = int(np.argmin(moduli))
     ri, ti = divmod(flat, angular)
     return ZeroScanReport(

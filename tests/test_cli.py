@@ -339,6 +339,21 @@ def test_zero_scan_charges_the_grid_before_any_work(matrix_file, monkeypatch, ca
         f"cap is {limit}\n"
 
 
+def test_zero_scan_rejects_a_radius_that_overflows(tmp_path, capsys):
+    # with warnings as errors, an overflow warning that leaked would fail the call
+    assert cli_module.run(["gen", "matrix", "--n", "5", "--lambda", "0.5"]) == 0
+    path = tmp_path / "m.json"
+    path.write_text(capsys.readouterr().out)
+    assert cli_module.run(["zero-scan", "--grid", "2x2", "--radius", "1e308", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: zero-scan radius 1e+308 is too large: the polynomial overflows " \
+        "on the grid\n"
+    # a large radius whose values stay finite still scans
+    assert cli_module.run(["zero-scan", "--grid", "2x2", "--radius", "1e30", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["radius"] == 1e30
+
+
 def test_matching_stats_charges_the_dense_encoding(tmp_path, monkeypatch, capsys):
     # the diagonal matching alone, d = 3 and n = 12: its dense tensor has 1,728 entries
     path = tmp_path / "h.json"

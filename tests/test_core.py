@@ -152,6 +152,38 @@ def test_json_dumps_float_lists_match_item_rendering():
         assert json_dumps(doc) == json_dumps(_floats_one_by_one(doc))
 
 
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1e-5, 1e16, 1e17, -1e17, 1 / 3,
+               1.7976931348623157e308]
+
+
+def _joined(values):
+    return "[" + ", ".join(["%.17g" % v for v in values]) + "]"
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 12, 64])
+def test_float_lists_render_as_their_items_joined(length):
+    values = [EDGE_FLOATS[i % len(EDGE_FLOATS)] for i in range(length)]
+    assert json_dumps(values) == _joined(values)
+    assert json_dumps(values[::-1]) == _joined(values[::-1])
+    assert json.loads(json_dumps(values)) == values
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            json_dumps(values + [bad])
+
+
+def test_float_list_rendering_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    floats = hypothesis.strategies.floats(allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(database=None, deadline=None)
+    @hypothesis.given(hypothesis.strategies.lists(floats, min_size=1, max_size=40))
+    def check(values):
+        assert json_dumps(values) == _joined(values)
+        assert json_dumps({"row": values}) == '{"row": ' + _joined(values) + "}"
+
+    check()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_json_dumps_rejects_non_finite_floats(bad):
     for doc in ([1.0, bad], [[0.5, bad]], [1, bad], {"x": bad}):

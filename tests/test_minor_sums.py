@@ -3,7 +3,8 @@
 The oracle is the definition itself: c_k is the sum of the exact permanents
 (permanent_definitional for matrices, permanent_tensor for tensors) of the
 k-element principal subarrays, an enumeration that shares no code with the
-engine.
+engine. One test sums the same definition in exact rationals
+(fractions.Fraction over itertools.permutations), so it rounds nothing.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -376,6 +378,13 @@ def test_top_order_e1_keeps_the_recurrences_running_sum():
         for row in r:
             running += row
         assert np.add.reduce(r, axis=0).tobytes() == running.tobytes()
+        # a matrix block's e_1 is T(U) less its lead factors in row order, for any
+        # column count: subtract never sums pairwise, so a lone column gives those bits
+        left = r[0].copy()
+        for row in r[1:]:
+            left -= row
+        assert np.subtract.reduce(r, axis=0).tobytes() == left.tobytes()
+        assert np.subtract.reduce(r[:, :1], axis=0).tobytes() == left[:1].tobytes()
     # at m = 1 the root block is a single column; for a diagonal matrix every other
     # block adds zero, so c_1 is the diagonal added in order
     diag = rng.normal(size=18) * 10.0 ** rng.integers(-8, 8, size=18) + 0.5j
@@ -397,3 +406,89 @@ def test_cached_plan_does_not_hide_a_replaced_walk(monkeypatch, d):
     monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
     with pytest.raises(IndexError):
         _ryser_sums(a, 2)
+
+
+def _block_diagonal(blocks):
+    d, n = blocks[0].ndim, sum(len(b) for b in blocks)
+    out = np.zeros((n,) * d, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[(slice(at, at + len(b)),) * d] = b
+        at += len(b)
+    return out
+
+
+# components of one size share a pass; 12 x 12 matrices at m = 6 fill 924 of 2048
+# columns, so a pass takes two of them, and 6^3 tensors at m = 6 take seven
+@pytest.mark.parametrize("d,size,split", [(2, 2, [9]), (2, 12, [2, 1]), (3, 3, [4]),
+                                          (3, 6, [7, 1])])
+def test_batched_components_match_lone_calls_bit_for_bit(monkeypatch, d, size, split):
+    blocks = [_array(d, size, 90 + i) for i in range(sum(split))]
+    m = min(6, size)
+    engine, passes = taylor._ryser_stack, []
+
+    def spy(stack, order):
+        rows = engine(stack, order)
+        passes.append((stack.copy(), order, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(taylor, "_ryser_stack", spy)
+    sums, sizes = taylor._minor_sums(_block_diagonal(blocks), m, WORK_CAP)
+    assert sizes == (size,) * len(blocks)
+    assert [len(stack) for stack, _, _ in passes] == split
+    lone = []
+    for stack, order, rows in passes:
+        for b in range(len(stack)):
+            assert np.array_equal(stack[b], blocks[len(lone)])
+            lone.append(engine(stack[b][None], order)[0])
+            assert _bits(rows[b]) == _bits(lone[-1])
+    # the polynomials multiply in component order, as lone calls would
+    want = [complex(1.0)] + [complex(0.0)] * m
+    for c in lone:
+        c = [complex(x) for x in c]
+        want = [sum(c[j] * want[i - j] for j in range(min(i, m) + 1)) for i in range(m + 1)]
+    assert _bits(sums) == _bits(want)
+
+
+def _rational_minor_sums(a):
+    """c_k and the same sums over |A|, exactly, from the definition.
+
+    PER A_I sums, over (d - 1)-tuples of permutations of I, the product of
+    the entries a[i, s_1(i), ..., s_(d-1)(i)]; each float is a Fraction
+    without rounding.
+    """
+    d, n = a.ndim, a.shape[0]
+    entry = {i: Fraction(float(a[i].real)) for i in itertools.product(range(n), repeat=d)}
+    sums, mags = [Fraction(0)] * (n + 1), [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(n), k):
+            for perms in itertools.product(itertools.permutations(subset), repeat=d - 1):
+                term = Fraction(1)
+                for q, i in enumerate(subset):
+                    term *= entry[(i, *(p[q] for p in perms))]
+                sums[k] += term
+                mags[k] += abs(term)
+    return sums, mags
+
+
+def _product(p, q, m):
+    return [sum(p[j] * q[k - j] for j in range(k + 1)) for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4)])
+def test_engine_matches_exact_rational_sums(d, n):
+    # |c_k - exact| <= 1e-13 sum_{|I|=k} PER |A_I|, plus a floor for when that sum is 0
+    # (a zero diagonal at k = 1); the worst ratio seen on such inputs is 4e-15
+    rng = np.random.default_rng(30 + 10 * d + n)
+    pair = [rng.normal(size=(n,) * d) for _ in range(2)]
+    pair[1][(np.arange(n),) * d] = 0.0
+    exact = [_rational_minor_sums(a) for a in pair]
+    both = [_product(exact[0][i], exact[1][i], n) for i in range(2)]
+    for m in range(n + 1):
+        # alone, and as two components of one size, which share an engine pass
+        for arr, (want, mag) in [(pair[0], exact[0]), (pair[1], exact[1]),
+                                 (_block_diagonal(pair), both)]:
+            got, _ = taylor._minor_sums(np.asarray(arr, dtype=complex), m, WORK_CAP)
+            for k in range(m + 1):
+                err = abs(Fraction(got[k].real) - want[k]), abs(got[k].imag)
+                assert max(err) <= 1e-13 * (mag[k] + 1), (m, k, float(max(err)), float(mag[k]))
