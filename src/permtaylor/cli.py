@@ -2,7 +2,8 @@
 
 Each command reads one JSON instance file, writes a single JSON document
 to stdout, and keeps human-readable diagnostics on stderr. Exit status:
-0 success, 1 parse/IO error, 2 inadmissible input, 3 size-cap exceeded.
+0 success, 1 parse/IO error, 2 inadmissible input, 3 size-cap exceeded
+or out of memory.
 All floats in output are rendered with 17 significant digits. Each
 command's parser, and the full tree, is built once per process and reused
 by every later `run` call.
@@ -178,8 +179,16 @@ def _cmd_collapse_demo(args) -> dict:
 def _cmd_gen(args) -> dict:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
-    if args.kind != "hypergraph" and not (math.isfinite(args.lam) and args.lam > 0):
-        raise ValueError(f"--lambda must be finite and positive, got {args.lam}")
+    if args.kind != "hypergraph":
+        if not (math.isfinite(args.lam) and args.lam > 0):
+            raise ValueError(f"--lambda must be finite and positive, got {args.lam}")
+        # the array is drawn whole, so its n^d entries are charged first; any
+        # n >= 2 passes the cap by d = its bit length, so no huge power is formed
+        d = args.d if args.kind == "tensor" else 2
+        if args.n ** min(d, WORK_CAP.bit_length()) > WORK_CAP:
+            raise SizeCapError(
+                f"gen {args.kind} needs n^d = {args.n}^{d} entries, cap is {WORK_CAP}"
+            )
     rng = np.random.default_rng(args.seed)
     if args.kind == "block":
         sign = 1 if args.sign == "plus" else -1
@@ -310,6 +319,9 @@ def run(argv=None) -> int:
         return 2
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

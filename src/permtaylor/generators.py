@@ -85,20 +85,28 @@ def random_hypergraph(
 
     delta_cap bounds the number of edges through each first-part vertex
     (the diagonal edge included). May return fewer than extra_edges extras
-    when the caps leave no room.
+    when the caps leave no room. Drawing stops once no first-part vertex
+    can take another edge, which skips only draws that would be rejected.
     """
+    if extra_edges < 0:
+        raise ValueError(f"extra_edges must be non-negative, got {extra_edges}")
+    if delta_cap is not None and delta_cap < 1:
+        raise ValueError(f"delta_cap must be at least 1, got {delta_cap}")
     edges = {(i,) * d for i in range(n)}
     degs = [1] * n
+    # most edges through one first-part vertex, and the vertices below it
+    room = n ** (d - 1) if delta_cap is None else min(delta_cap, n ** (d - 1))
+    open_vertices = n if room > 1 else 0
     attempts = 0
     added = 0
-    while added < extra_edges and attempts < 50 * (extra_edges + 1):
+    while added < extra_edges and open_vertices and attempts < 50 * (extra_edges + 1):
         attempts += 1
         e = tuple(int(v) for v in rng.integers(0, n, size=d))
-        if e in edges:
-            continue
-        if delta_cap is not None and degs[e[0]] >= delta_cap:
+        if e in edges or degs[e[0]] >= room:
             continue
         edges.add(e)
         degs[e[0]] += 1
+        if degs[e[0]] == room:
+            open_vertices -= 1
         added += 1
     return DPartiteHypergraph(d, n, tuple(sorted(edges)))

@@ -141,16 +141,22 @@ def minor_sum_work(n: int, d: int, m: int) -> int:
     2^(d-1) partial slice sums of the n^d array, then a charge for each of
     the C(n, u) (2^(d-1) - 1)^u tuples with |U| = u <= m. A matrix tuple
     takes its row sums from its parent's minus one column: n (m - u + 1)
-    below order m, with the elementary symmetric recurrence, and 2u at
-    order m, where only the rows of U are needed. A tensor tuple gathers
-    (u + 1)^(d-1) entries for each row of U and, below order m, for each
-    of the n rows, plus the O(n (m - u)) recurrence.
+    below order m - 1, with the elementary symmetric recurrence. At order
+    m - 1 >= 1 it carries no row sums and gathers its u lead factors and
+    T(U), which give e_1: 2u + 2. At order m only the rows of U are
+    needed: 2u. A tensor tuple gathers (u + 1)^(d-1) entries for each row
+    of U and, below order m, for each of the n rows, plus the O(n (m - u))
+    recurrence.
     """
     p = (1 << (d - 1)) - 1
     total = (p + 1) * n**d
     for u in range(m + 1):
-        if d == 2:
-            per_tuple = n * (m - u + 1) if u < m else 2 * u
+        if d == 2 and u == m:
+            per_tuple = 2 * u
+        elif d == 2 and u == m - 1 >= 1:
+            per_tuple = 2 * u + 2
+        elif d == 2:
+            per_tuple = n * (m - u + 1)
         else:
             per_tuple = u * (u + 1) ** (d - 1)
             if u < m:
@@ -260,9 +266,8 @@ def _plan(n: int, m: int, caps):
 
     The walk depends on its arguments alone, so a plan is built once and
     kept in a process-wide cache; every thread reads the same plan, and
-    none writes to it. A plan holds u rows and one parent for each co-subset of size u, in
-    one row array and one parent array of the narrowest unsigned dtypes
-    that hold them; its blocks are read-only views of the two. The engine
+    none writes to it. Each block's rows and parent are ordinary read-only
+    arrays of the narrowest unsigned dtypes that hold them. The engine
     widens them to np.intp before any arithmetic: under NEP 50 a uint8 row
     times a stride stays uint8 and wraps. The plans kept hold at most
     PLAN_BYTES of indices, and the least recently used go first. A plan
@@ -275,22 +280,17 @@ def _plan(n: int, m: int, caps):
             _plans.move_to_end(key)
             return _plans[key][0]
     counts = [math.comb(n, u) for u in range(1, m + 1)]
-    row_count, parent_count = sum(u * c for u, c in enumerate(counts, 1)), sum(counts)
     row_type, parent_type = np.min_scalar_type(n - 1), np.min_scalar_type(max(caps) - 1)
-    size = row_count * row_type.itemsize + parent_count * parent_type.itemsize
+    size = sum((u * row_type.itemsize + parent_type.itemsize) * c for u, c in enumerate(counts, 1))
     if size > PLAN_BYTES:
         return _checked_walk(n, m, caps)
-    all_rows, all_parents = np.empty(row_count, row_type), np.empty(parent_count, parent_type)
-    plan, at, parent_at = [], 0, 0
+    plan = []
     for rows, parent in _checked_walk(n, m, caps):
-        u, k = rows.shape
-        rows = _copied(all_rows[at:], rows)
+        rows = rows.astype(row_type)
         rows.flags.writeable = False
-        at += u * k
-        if u:
-            parent = _copied(all_parents[parent_at:], parent)
+        if parent is not None:
+            parent = parent.astype(parent_type)
             parent.flags.writeable = False
-            parent_at += k
         plan.append((rows, parent))
     plan = tuple(plan)
     with _plans_lock:
@@ -343,13 +343,6 @@ def _buffers(key: str, dtype, sizes) -> list[np.ndarray]:
 def _shaped(flat: np.ndarray, *shape: int) -> np.ndarray:
     """The first prod(shape) entries of a flat workspace view, C-ordered."""
     return flat[: math.prod(shape)].reshape(shape)
-
-
-def _copied(flat: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """block copied, cast to flat's dtype, into the first entries of flat; a view."""
-    view = _shaped(flat, *block.shape)
-    view[...] = block
-    return view
 
 
 def _pattern_weights(hits: np.ndarray, bufs) -> np.ndarray:
@@ -410,8 +403,10 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     make, so a block forms lead and e_1 the same way at every order, which
     keeps lower orders a bit-exact prefix of higher ones. Below order
     m - 1, r is the carried row sums with the rows of U zeroed; they stay
-    zeroed, since no later block reads them there. Every block temporary
-    is a view of this thread's workspace.
+    zeroed, since no later block reads them there. The complex block
+    temporaries (factors, row sums, gathered columns, lead and e_1) are
+    views of this thread's workspace, which spares them the page faults
+    of fresh pages; the index arrays are ordinary np.intp temporaries.
     """
     nb, n = stack.shape[:2]
     caps = [k for k, _ in sizes]
@@ -431,20 +426,14 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     scratch, product, first, *held = _buffers("terms", np.complex128, regions)
     kept, removed = scratch[: m * wide], scratch[m * wide :]
     held, levels = held[: max(m - 1, 0)], held[max(m - 1, 0) :]
-    wide_rows, index, wide_parent, grand, up_at, col_at, cut_at = _buffers(
-        "index", np.intp, [(m + 1) * wide, m * wide, max(caps), max(caps), wide, wide, wide]
-    )
     batch = np.arange(nb)[:, None]
+    grand = None
 
-    def offsets(out, at, scale, width):
+    def offsets(at, scale, width):
         # at * scale + b width for every matrix b: the block's B K positions
         # of the per-matrix indices at
-        if nb == 1:
-            return at if scale == 1 else np.multiply(at, scale, out=out[: len(at)])
-        out = _shaped(out, nb, len(at))
-        np.multiply(at, scale, out=out)
-        out += batch * width
-        return out.ravel()
+        at = at * scale
+        return at if nb == 1 else (at + batch * width).ravel()
 
     # row sums ((n + 1) x B K) and factors of the last block at each size;
     # row n of the row sums, and row 0 of the factors, is T
@@ -456,35 +445,30 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
             yield 0, np.ones(nb), carry[0][:n], None
             continue
         c, top = nb * k, int(u == m)
-        # row n, then the rows of U, widened and repeated for each matrix;
-        # mode="raise" would copy through a temporary, and _plan checked the block
-        ext = _shaped(wide_rows, u + 1, nb, k)
+        # row n, then the rows of U, widened and repeated for each matrix
+        ext = np.empty((u + 1, nb, k), np.intp)
         ext[0], ext[1:] = n, rows[:, None]
         ext = ext[top:].reshape(u + 1 - top, c)
-        rows, parent = ext[1 - top :], _copied(wide_parent, parent)
-        # T and the old rows' factors from the parent's; order m needs no T
+        rows, parent = ext[1 - top :], parent.astype(np.intp)
+        # T and the old rows' factors from the parent's; order m needs no T.
+        # mode="raise" would copy through a temporary, and _plan checked the block
         before = kept_factors[u - 1]
-        up = offsets(up_at, parent, 1, before.shape[1] // nb)
+        up = offsets(parent, 1, before.shape[1] // nb)
         factors = _shaped(kept if top else held[u - 1], len(ext), c)
         before[top:].take(up, axis=1, out=factors[:-1], mode="clip")
         # the new row's r_j from the parent's row sums; order m has none
         # carried, so it starts from the grandparent's, less the parent's column
         if u == m > 1:
             src = carry[u - 2]
-            at = grand.take(parent, out=_shaped(col_at, k), mode="clip")
-            at = offsets(up_at, at, 1, src.shape[1] // nb)
+            at = offsets(grand[parent], 1, src.shape[1] // nb)
         else:
             src, at = carry[u - 1], up
-        new = np.multiply(rows[-1], src.shape[1], out=_shaped(cut_at, c))
-        new += at
-        src.take(new, out=factors[-1], mode="clip")
+        src.take(rows[-1] * src.shape[1] + at, out=factors[-1], mode="clip")
         if u == m > 1:
-            cut = offsets(col_at, rows[-2, :k], n + 1, (n + 1) * n)
-            new = np.add(rows[-1], cut, out=_shaped(cut_at, c))
-            factors[-1] -= a_t.take(new, out=_shaped(removed, c), mode="clip")
-        cut = offsets(col_at, rows[-1, :k], n + 1, (n + 1) * n)
-        at = np.add(ext, cut, out=_shaped(index, len(ext), c))
-        factors -= a_t.take(at, out=_shaped(removed, len(ext), c), mode="clip")
+            cut = offsets(rows[-2, :k], n + 1, (n + 1) * n)
+            factors[-1] -= a_t.take(rows[-1] + cut, out=_shaped(removed, c), mode="clip")
+        cut = offsets(rows[-1, :k], n + 1, (n + 1) * n)
+        factors -= a_t.take(ext + cut, out=_shaped(removed, len(ext), c), mode="clip")
         # the last u rows of factors are r_i(U), i in U
         lead = np.multiply.reduce(factors[-u:], axis=0, out=product[:c])
         if u % 2:
@@ -496,10 +480,10 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
         e1 = np.subtract.reduce(factors, axis=0, out=first[:c])
         kept_factors[u] = factors
         if u == m - 1:
-            grand[:k] = parent
+            grand = parent
             yield u, lead, None, e1
             continue
-        cut = offsets(cut_at, rows[-1, :k], 1, n)
+        cut = offsets(rows[-1, :k], 1, n)
         r = carry[u] = src.take(up, axis=1, out=_shaped(levels[u - 1], n + 1, c), mode="clip")
         # column j of a, as many rows at a time as scratch holds
         step = len(scratch) // c
@@ -507,10 +491,7 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
             part = a[i : i + step]
             part = part.take(cut, axis=1, out=_shaped(scratch, len(part), c), mode="clip")
             r[i : i + step] -= part
-        # flat positions of the rows of U in r
-        at = np.multiply(rows, c, out=_shaped(index, u, c))
-        at += np.arange(c)
-        r.put(at, 0.0, mode="clip")
+        r[rows, np.arange(c)] = 0.0
         yield u, lead, r[:n], e1
 
 
@@ -526,7 +507,10 @@ def _tensor_terms(stack: np.ndarray, m: int, sizes):
     each pattern block then weighs them (_slice_sums). Tensor b's padded
     entries sit at offset b n (n + 1)^(d-1), and its columns come first
     in lead and r: column (b P + q) K + j is pattern q of co-subset j of
-    tensor b. Every block temporary is a view of this thread's workspace.
+    tensor b. The gathered entries, slice sums, lead products and pattern
+    weights are views of this thread's workspace, which spares them the
+    page faults of fresh pages; the index arrays are ordinary np.intp
+    temporaries.
     """
     nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
     ext = stack
@@ -539,31 +523,23 @@ def _tensor_terms(stack: np.ndarray, m: int, sizes):
     lead_in, all_in, summed, product = _buffers(
         "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
     )
-    caps = [cap for cap, _ in sizes]
-    wide_rows, lead_at, all_at = _buffers(
-        "index", np.intp, [m * max(caps), m * max(gather), n * max(gather)]
-    )
     weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
     weights = _buffers("weights", np.float64, [weight_size] * 2)
     row_offsets = np.arange(n)[:, None, None, None] * stride
     batch_offsets = np.arange(nb)[:, None, None] * (n * stride)
-    for rows, _ in _plan(n, m, caps):
-        # mode="raise" would copy through a temporary; _plan checked the block
-        rows = _copied(wide_rows, rows)
+    for rows, _ in _plan(n, m, [cap for cap, _ in sizes]):
+        rows = rows.astype(np.intp)
         u, k = rows.shape
         # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
         ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
         for _ in range(d - 1):
             slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
         width = len(slots)
-        at = np.add((rows * stride)[:, None, None], slots, out=_shaped(lead_at, u, nb, width, k))
-        if nb > 1:
-            at += batch_offsets
+        # mode="raise" would copy through a temporary; _plan checked the block
+        at = (rows * stride)[:, None, None] + slots + batch_offsets
         lead_entries = ext.take(at, out=_shaped(lead_in, u, nb, width, k), mode="clip")
         if u < m:
-            at = np.add(row_offsets, slots, out=_shaped(all_at, n, nb, width, k))
-            if nb > 1:
-                at += batch_offsets
+            at = row_offsets + slots + batch_offsets
             all_entries = ext.take(at, out=_shaped(all_in, n, nb, width, k), mode="clip")
         for vals in _pattern_blocks((1 << (d - 1)) - 1, u, sizes[u][1]):
             hits = (vals >> np.arange(d - 1)[:, None, None]) & 1
@@ -610,10 +586,12 @@ def _ryser_stack(stack: np.ndarray, m: int) -> np.ndarray:
     on (n, d, u) alone, and the block partials are folded in walk order,
     so repeated calls give bit-identical results.
 
-    Every block temporary, the recurrence's included, is a view of a
-    per-thread workspace sized from _block_sizes (see _buffers), and the
-    walk's indices come from its plan, so after the first call of a size
-    the loop allocates nothing large.
+    The large block temporaries, complex and float, the recurrence's
+    included, are views of a per-thread workspace sized from _block_sizes
+    (see _buffers): fresh ones would take page faults on every block, and
+    a warmed call takes none. The walk's indices come from its cached
+    plan, and the index arithmetic on them makes small ordinary np.intp
+    arrays, which numpy reuses without faults.
     """
     nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
     sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]

@@ -208,6 +208,41 @@ def test_gen_rejects_empty_instances(cli, kind):
     assert out == "" and "--n must be positive" in err
 
 
+ARRAY_GENERATORS = ["block_extremal_matrix", "random_admissible_matrix",
+                    "random_admissible_tensor", "random_dominant_matrix"]
+
+
+@pytest.mark.parametrize("kind, size, entries", [
+    ("tensor", ["--d", "6", "--n", "60"], "60^6"),
+    ("tensor", ["--d", "100000000", "--n", "10"], "10^100000000"),
+    ("matrix", ["--n", "31623"], "31623^2"),
+    ("block", ["--n", "40000"], "40000^2"),
+    ("dominant", ["--n", "40000"], "40000^2"),
+])
+def test_gen_charges_the_array_before_drawing(monkeypatch, capsys, kind, size, entries):
+    # nothing is drawn: a real draw would ask for GBs
+    for name in ARRAY_GENERATORS:
+        monkeypatch.setattr(cli_module, name, lambda *a, **k: pytest.fail("drew"))
+    assert cli_module.run(["gen", kind, *size]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: gen {kind} needs n^d = {entries} entries, cap is {taylor.WORK_CAP}\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 14.9 GiB for an array", "Unable to allocate 14.9 GiB for an array"),
+    ("", "out of memory"),
+])
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys, message, line):
+    # n^2 = 999,950,884 is within the cap, so the (failing) generator runs
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "random_admissible_matrix", exhausted)
+    assert cli_module.run(["gen", "matrix", "--n", "31622"]) == 3
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_exit_code_parse_error(tmp_path, cli):
     missing = tmp_path / "nope.json"
     code, _, err = cli("exact", str(missing))

@@ -288,3 +288,60 @@ def test_disjoint_gadgets_run_under_the_default_cap():
     gadget = sum(lam**dist for _, dist in enumerate_matchings(DPartiteHypergraph(3, 3, local)))
     want = gadget**k
     assert abs(res.value - want) <= res.relative_error_bound * want
+
+
+def _hypergraph_without_early_stop(d, n, extra_edges, rng, delta_cap=None):
+    # the generator's draw loop as it was before it stopped at full degrees
+    edges = {(i,) * d for i in range(n)}
+    degs = [1] * n
+    attempts = added = 0
+    while added < extra_edges and attempts < 50 * (extra_edges + 1):
+        attempts += 1
+        e = tuple(int(v) for v in rng.integers(0, n, size=d))
+        if e in edges or (delta_cap is not None and degs[e[0]] >= delta_cap):
+            continue
+        edges.add(e)
+        degs[e[0]] += 1
+        added += 1
+    return tuple(sorted(edges))
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("d, n, extra, cap", [
+    (3, 4, 6, None), (3, 3, 30, None), (3, 3, 30, 4), (2, 5, 40, None), (4, 2, 100, 3),
+    (3, 6, 12, 2), (3, 5, 0, None), (3, 4, 3, 1), (5, 3, 50, None), (2, 1, 5, None),
+])
+def test_random_hypergraph_draws_what_it_drew_before_the_early_stop(d, n, extra, cap):
+    for seed in range(3):
+        want = _hypergraph_without_early_stop(d, n, extra, np.random.default_rng(seed), cap)
+        got = random_hypergraph(d, n, extra, np.random.default_rng(seed), delta_cap=cap)
+        assert got.edges == want
+
+
+@pytest.mark.parametrize("cap, edges", [(None, 27), (2, 6), (1, 3)])
+def test_random_hypergraph_stops_once_no_vertex_has_room(cap, edges):
+    # without the stop, 20,000 extras took 1,000,050 draws
+    rng = _CountingRng(4)
+    h = random_hypergraph(3, 3, 20_000, rng, delta_cap=cap)
+    assert len(h.edges) == edges
+    assert rng.draws < 1_000
+
+
+@pytest.mark.parametrize("extra, cap, message", [
+    (-3, None, "extra_edges must be non-negative, got -3"),
+    (2, 0, "delta_cap must be at least 1, got 0"),
+])
+def test_random_hypergraph_rejects_negative_extras_and_caps_below_one(cli, extra, cap, message):
+    with pytest.raises(ValueError, match=message):
+        random_hypergraph(3, 4, extra, np.random.default_rng(0), delta_cap=cap)
+    argv = ["gen", "hypergraph", "--extra", str(extra)]
+    code, out, err = cli(*argv, *(["--delta-cap", str(cap)] if cap is not None else []))
+    assert (code, out, err) == (1, "", f"error: {message}\n")

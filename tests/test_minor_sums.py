@@ -11,7 +11,6 @@ import itertools
 import math
 import sys
 import threading
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -155,11 +154,16 @@ def test_walk_lists_co_subsets_in_lexicographic_order(caps):
 
 
 def test_work_formula():
-    # d = 2: two partial sums of n^2, then n (m - u + 1) per tuple below order m, 2u at it
-    assert minor_sum_work(6, 2, 2) == 2 * 36 + 1 * 6 * 3 + 6 * 6 * 2 + 15 * 2 * 2
+    # d = 2: two partial sums of n^2, then n (m - u + 1) per tuple below order m - 1,
+    # 2u + 2 at order m - 1 >= 1 (u lead factors, T and e_1), and 2u at order m
+    assert minor_sum_work(6, 2, 2) == 2 * 36 + 1 * 6 * 3 + 6 * (2 + 2) + 15 * 2 * 2
+    assert minor_sum_work(6, 2, 1) == 2 * 36 + 1 * 6 * 2 + 6 * 2
+    assert minor_sum_work(6, 2, 0) == 2 * 36
     # d = 3: three non-empty axis sets per removed row, (u + 1)^2 gathers
     assert minor_sum_work(4, 3, 1) == 4 * 64 + 1 * 4 * (1 + 1) + 4 * 3 * 1 * 4
     assert minor_sum_work(100, 2, 3) < WORK_CAP
+    # a dense n = 200 matrix at m = 4 runs under the default cap
+    assert minor_sum_work(200, 2, 4) == 540_167_800 < WORK_CAP
 
 
 def test_large_matrix_at_low_order_runs_under_default_cap():
@@ -243,17 +247,17 @@ def test_threads_keep_their_workspaces_apart():
     assert got == [[w] * 3 for w in want]
 
 
-def test_warmed_engine_call_allocates_under_128_kb():
-    # the block plan is cached and the workspace kept, so only small temporaries remain
-    a = _array(2, 18, 18)
-    _ryser_sums(a, 6)
-    tracemalloc.start()
-    try:
-        _ryser_sums(a, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 << 10
+def test_warmed_engine_calls_take_no_page_faults():
+    # the workspace is kept between calls, so warmed calls reuse pages already mapped
+    resource = pytest.importorskip("resource")
+    calls = [(_array(2, 18, 18), 6), (_array(3, 7, 7), 6)]
+    for a, m in calls:
+        _ryser_sums(a, m)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        for a, m in calls:
+            _ryser_sums(a, m)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
 
 
 # interleaved shapes; m = 1 and n = 2, 3 give blocks of one column
