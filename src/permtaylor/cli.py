@@ -25,6 +25,7 @@ from .core import (
     InadmissibleInputError,
     SizeCapError,
     _entries_from_json,
+    check_sizes,
     identity_tensor,
     json_dumps,
     matrix_from_json,
@@ -179,6 +180,8 @@ def _cmd_collapse_demo(args) -> dict:
 def _cmd_gen(args) -> dict:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
+    if args.kind == "tensor":
+        check_sizes(args.d, args.n)
     if args.kind != "hypergraph":
         if not (math.isfinite(args.lam) and args.lam > 0):
             raise ValueError(f"--lambda must be finite and positive, got {args.lam}")

@@ -233,10 +233,10 @@ def matching_stats(
             "normalize_base_matching first"
         )
     delta = max(h.first_part_degrees())
-    entries = h.n**h.d
-    if entries > work_cap:
+    # any n >= 2 passes the cap by d = its bit length, so no huge power is formed
+    if h.n ** min(h.d, int(work_cap).bit_length()) > work_cap:
         raise SizeCapError(
-            f"dense encoding of the hypergraph needs n^d = {entries} tensor entries, "
+            f"dense encoding of the hypergraph needs n^d = {h.n}^{h.d} tensor entries, "
             f"cap is {work_cap}"
         )
     t = encode_tensor(h)

@@ -53,7 +53,7 @@ BLOCK_ENTRIES = 1 << 16
 BLOCK_COLUMNS = 2048
 # numpy's ufunc buffer size, in items, inside the engine
 UFUNC_BUFFER = 1024
-# index bytes of the co-subset plans kept between calls (see _plan)
+# bytes of the compiled walk programs kept between calls (see _program)
 PLAN_BYTES = 1 << 22
 
 
@@ -211,15 +211,20 @@ def _co_subset_blocks(n: int, m: int, caps):
     column parent[k] of the last block yielded at size u - 1 by rows[-1, k].
     Each block is followed by the blocks of its children U + {j}, j > max U,
     so every size comes in lexicographic order, and the layout depends on
-    n and caps alone.
+    n and caps alone. rows has the narrowest unsigned dtype that holds n,
+    which keeps the walk's copies small; arithmetic on it widens it first,
+    since under NEP 50 a uint8 row times a stride stays uint8 and wraps.
     """
+    row_type = np.min_scalar_type(n)
 
     def children(rows):
         u, k = rows.shape
-        start = rows[-1] + 1 if u else np.zeros(k, dtype=np.intp)
-        count = n - start
-        parent = np.repeat(np.arange(k), count)
-        last = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - start, count)
+        # column i has a child for each j in max U + 1 .. n - 1; in the list
+        # of all children they end at ends[i], so child t appends n + t - ends[i]
+        count = n - 1 - rows[-1].astype(np.intp) if u else np.full(k, n)
+        parent = np.arange(k).repeat(count)
+        ends = count.cumsum()
+        last = (np.arange(n, n + ends[-1]) - ends.take(parent)).astype(row_type)
         cap = caps[u + 1]
         for s in range(0, len(parent), cap):
             par = parent[s : s + cap]
@@ -228,7 +233,7 @@ def _co_subset_blocks(n: int, m: int, caps):
             if u + 1 < m:
                 yield from children(block)
 
-    root = np.zeros((0, 1), dtype=np.intp)
+    root = np.zeros((0, 1), dtype=row_type)
     yield root, None
     if m:
         yield from children(root)
@@ -242,62 +247,187 @@ def _checked_walk(n: int, m: int, caps):
     size below; a block outside raises IndexError.
     """
     width = [1] * (m + 1)  # columns of the last block yielded at each size
+    low, high = np.minimum.reduce, np.maximum.reduce
     for rows, parent in _co_subset_blocks(n, m, caps):
         u, k = rows.shape
         if u and not (
             len(parent) == k
-            and 0 <= rows.min()
-            and rows.max() < n
-            and 0 <= parent.min()
-            and parent.max() < width[u - 1]
+            and 0 <= low(rows, None)
+            and high(rows, None) < n
+            and 0 <= low(parent)
+            and high(parent) < width[u - 1]
         ):
             raise IndexError("co-subset block outside the array")
         width[u] = k
         yield rows, parent
 
 
-# plans by (walk, n, m, caps) with their index bytes, least recently used first
+# programs by (walk, d, n, m, block sizes, B) with their bytes, least recently used first
 _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
 
 
-def _plan(n: int, m: int, caps):
-    """The checked blocks of the co-subset walk for (n, m, caps), in walk order.
+def _program(d: int, n: int, m: int, sizes, nb: int):
+    """The engine's compiled walk for a stack of B arrays of shape (n,) * d, at order m.
 
-    The walk depends on its arguments alone, so a plan is built once and
-    kept in a process-wide cache; every thread reads the same plan, and
-    none writes to it. Each block's rows and parent are ordinary read-only
-    arrays of the narrowest unsigned dtypes that hold them. The engine
-    widens them to np.intp before any arithmetic: under NEP 50 a uint8 row
-    times a stride stays uint8 and wraps. The plans kept hold at most
-    PLAN_BYTES of indices, and the least recently used go first. A plan
-    above that budget is walked afresh on each call. The key holds the
-    walk function, so a replaced _co_subset_blocks gets plans of its own.
+    The walk, and every position that its gathers read, depend on these
+    arguments alone, so _matrix_program or _tensor_program compiles them
+    once from the checked walk and a process-wide cache keeps the program;
+    every thread reads the same program, and none writes to it. A kept
+    program stores its positions in the narrowest unsigned dtype that
+    holds them all, and every array in it is read-only. The programs kept
+    hold at most PLAN_BYTES, and the least recently used go first. A
+    program above that budget, whose size _program_bytes gives before any
+    is built, is never held whole: it is compiled block by block inside
+    the call, with np.intp positions. The key holds the walk function, so
+    a replaced _co_subset_blocks gets programs of its own.
+
+    The gathers clip their indices, so positions are checked before any
+    use. Every block of the walk is checked (_checked_walk), and a kept
+    program's positions once more when they are stored, each against the
+    size of the array it indexes (_stored). A program compiled inside the
+    call skips that second pass, which costs about as much as the gathers
+    on small blocks: its positions come from the checked rows and parents
+    by the same sums of non-negative multiples, which keep them within
+    their arrays.
     """
-    key = (_co_subset_blocks, n, m, tuple(caps))
+    key = (_co_subset_blocks, d, n, m, tuple(sizes), nb)
     with _plans_lock:
         if key in _plans:
             _plans.move_to_end(key)
             return _plans[key][0]
-    counts = [math.comb(n, u) for u in range(1, m + 1)]
-    row_type, parent_type = np.min_scalar_type(n - 1), np.min_scalar_type(max(caps) - 1)
-    size = sum((u * row_type.itemsize + parent_type.itemsize) * c for u, c in enumerate(counts, 1))
-    if size > PLAN_BYTES:
-        return _checked_walk(n, m, caps)
-    plan = []
-    for rows, parent in _checked_walk(n, m, caps):
-        rows = rows.astype(row_type)
-        rows.flags.writeable = False
-        if parent is not None:
-            parent = parent.astype(parent_type)
-            parent.flags.writeable = False
-        plan.append((rows, parent))
-    plan = tuple(plan)
+    size, dtype = _program_bytes(d, n, m, sizes, nb)
+    keep = size <= PLAN_BYTES
+    if d == 2:
+        program = _matrix_program(n, m, [cap for cap, _ in sizes], nb, dtype, keep)
+    else:
+        program = _tensor_program(d, n, m, sizes, nb, dtype, keep)
+    if not keep:
+        return program
+    program = tuple(program)
     with _plans_lock:
-        _plans[key] = plan, size
+        _plans[key] = program, size
         while sum(kept for _, kept in _plans.values()) > PLAN_BYTES:
             _plans.popitem(last=False)
-    return plan
+    return program
+
+
+def _program_bytes(d: int, n: int, m: int, sizes, nb: int) -> tuple[int, np.dtype]:
+    """(bytes, position dtype) of the program for these arguments; see _program.
+
+    The dtype holds every position below the size of the largest arrays
+    indexed: the carried row sums and a matrix with its sum row, or the
+    padded tensors. The bytes count the positions of every block, which
+    the C(n, u) co-subsets of each size fix, and a tensor's pattern
+    weights and signs once for each size.
+    """
+    if d == 2:
+        dtype = np.min_scalar_type((n + 1) * nb * max(n, *(cap for cap, _ in sizes)) - 1)
+        positions = sum(nb * math.comb(n, u) * _matrix_rows(u, m) for u in range(1, m + 1))
+        return positions * dtype.itemsize, dtype
+    p, widths = (1 << (d - 1)) - 1, [(u + 1) ** (d - 1) for u in range(m + 1)]
+    dtype = np.min_scalar_type(nb * n * (n + 1) ** (d - 1) - 1)
+    # lead_at, all_at below order m, and rows
+    positions = sum(
+        math.comb(n, u) * (nb * widths[u] * (u + n * (u < m)) + u) for u in range(m + 1)
+    )
+    weights = sum(p**u * (widths[u] + 1) for u in range(m + 1))
+    return positions * dtype.itemsize + weights * 8, dtype
+
+
+def _stored(pos: np.ndarray, limits, dtype) -> np.ndarray:
+    """The np.intp positions pos, as a kept program stores them: checked, narrowed, read-only.
+
+    Row pos[i] indexes an array of limits[i] entries. The gathers clip
+    their indices, so a position outside its array would pass silently;
+    it raises IndexError here instead, once for each kept program. Viewed
+    unsigned, a negative position is one far too large.
+    """
+    if pos.size:
+        top = pos.view(np.uintp).reshape(len(pos), -1).max(axis=1).tolist()
+        if any(t >= limit for t, limit in zip(top, limits)):
+            raise IndexError("compiled position outside its array")
+    pos = pos.astype(dtype)
+    pos.flags.writeable = False
+    return pos
+
+
+def _matrix_rows(u: int, m: int) -> int:
+    """Rows of positions in a matrix step at size u: up, at_r, at_a, then
+    cut_r at order m > 1, or col and zero below order m - 1."""
+    return 2 + u + (u < m) + (1 < u == m) + (u < m - 1) * (u + 1)
+
+
+def _matrix_program(n: int, m: int, caps, nb: int, dtype, keep: bool):
+    """The steps of _matrix_terms for the walk's blocks below the root; see _program.
+
+    A step (u, K, up, at_r, cut_r, at_a, col, zero) holds, for the B K
+    columns of a block:
+    - up, the parent's columns in the factors and row sums kept at u - 1;
+    - at_r, the flat position of the new row's r_j in the row sums carried
+      at u - 1, or at order m > 1 in the grandparent's, at m - 2;
+    - at order m > 1, cut_r, the parent's last column at the new row in
+      a_t, the transposed array with its sum row; else None;
+    - at_a, row n (below order m) and the rows of U in the new column, in a_t;
+    - below order m - 1, col, the new column of a, and zero, the flat
+      positions of the rows of U in the block's row sums; else None.
+    They are the rows of one array. A program compiled inside the call
+    writes them into this thread's workspace, where each step's positions
+    overwrite the last step's.
+    """
+    batch = np.arange(nb)[:, None]
+
+    def offsets(at, width):
+        # at + b width for every matrix b: the block's B x K positions of the
+        # per-matrix positions at
+        return at if nb == 1 else at + batch * width
+
+    if not keep:
+        most = max(_matrix_rows(u, m) * nb * caps[u] for u in range(m + 1))
+        (space,) = _buffers("positions", np.intp, [most])
+    a_size = (n + 1) * nb * n
+    # columns of the factors and row sums kept for the last block of each size
+    width, grand = [nb] + [0] * m, None
+    for rows, parent in _checked_walk(n, m, caps):
+        u, k = rows.shape
+        if not u:
+            continue
+        c, top, below = nb * k, int(u == m), u < m - 1
+        rows, lead = rows.astype(np.intp), u + 1 - top
+        last = rows[-1]
+        shape = (_matrix_rows(u, m), nb, k)
+        pos = np.empty(shape, np.intp) if keep else _shaped(space, *shape)
+        pos[0] = offsets(parent, width[u - 1] // nb)
+        if u == m > 1:
+            src = width[u - 2]
+            np.multiply(last, src, out=pos[1])
+            pos[1] += offsets(grand[parent], src // nb)
+            np.multiply(rows[-2], n + 1, out=pos[-1])
+            pos[-1] += offsets(last, (n + 1) * n)
+        else:
+            src = width[u - 1]
+            np.multiply(last, src, out=pos[1])
+            pos[1] += pos[0]
+        cut = offsets(last * (n + 1), (n + 1) * n)
+        np.add(rows[:, None], cut, out=pos[3 - top : 2 + lead])
+        if not top:
+            np.add(cut, n, out=pos[2])
+        if below:
+            pos[2 + lead] = offsets(last, n)
+            np.multiply(rows[:, None], c, out=pos[3 + lead :])
+            pos[3 + lead :] += offsets(np.arange(k), k)
+        if keep:
+            limits = [width[u - 1], (n + 1) * src] + [a_size] * (lead + (1 < u == m))
+            if below:
+                limits += [nb * n] + [(n + 1) * c] * u
+            pos = _stored(pos, limits, dtype)
+        pos = pos.reshape(len(pos), c)
+        width[u] = c
+        if u == m - 1:
+            grand = parent
+        cut_r = pos[-1] if u == m > 1 else None
+        col, zero = (pos[2 + lead], pos[3 + lead :]) if below else (None, None)
+        yield u, k, pos[0], pos[1], cut_r, pos[2 : 2 + lead], col, zero
 
 
 def _pattern_blocks(p: int, u: int, step: int):
@@ -311,6 +441,64 @@ def _pattern_blocks(p: int, u: int, step: int):
     for start in range(0, npat, step):
         q = np.arange(start, min(npat, start + step))
         yield q[:, None] // weights % p + 1
+
+
+def _patterns(p: int, u: int, step: int, bufs):
+    """(w, sign) for each block of the patterns of a co-subset of size u.
+
+    w is _pattern_weights, in the flat buffers bufs or, with bufs None, in
+    read-only arrays of its own; sign (P x 1) is (-1)^(sum_t |T_t|).
+    """
+    for vals in _pattern_blocks(p, u, step):
+        hits = (vals >> np.arange(p.bit_length())[:, None, None]) & 1
+        w = _pattern_weights(hits, bufs)
+        sign = np.where(hits.sum(axis=(0, 2)) % 2, -1.0, 1.0)[:, None]
+        if bufs is None:
+            w, sign = w.copy(), sign.copy()
+            w.flags.writeable = sign.flags.writeable = False
+        yield w, sign
+
+
+def _tensor_program(d: int, n: int, m: int, sizes, nb: int, dtype, keep: bool):
+    """The steps of _tensor_terms for the walk's blocks; see _program.
+
+    A step (u, K, lead_at, all_at, rows, patterns) holds the positions, in
+    the padded stack, of the entries that a block gathers at the rows of U
+    and slot n: lead_at (u x B x (u + 1)^(d-1) x K) for the rows of U and,
+    below order m, all_at (n x B x (u + 1)^(d-1) x K) for all n rows, else
+    None; then the rows of U, which the slice sums zero, and the (w, sign)
+    of each pattern block (_patterns). A kept program forms the patterns
+    of each size once and shares them among its blocks; one compiled
+    inside the call forms them for each block, in this thread's workspace.
+    """
+    p, stride = (1 << (d - 1)) - 1, (n + 1) ** (d - 1)
+    size = nb * n * stride
+    row_offsets = np.arange(n)[:, None] * stride
+    batch_offsets = np.arange(nb)[:, None, None] * (n * stride)
+    if not keep:
+        weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
+        weights = _buffers("weights", np.float64, [weight_size] * 2)
+    kept = {}
+    for rows, _ in _checked_walk(n, m, [cap for cap, _ in sizes]):
+        u, k = rows.shape
+        rows = rows.astype(np.intp)
+        # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
+        ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
+        for _ in range(d - 1):
+            slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
+        # the rows of U, then below order m all n rows
+        first = rows * stride
+        if u < m:
+            first = np.concatenate((first, np.broadcast_to(row_offsets, (n, k))))
+        at = first[:, None, None] + slots + batch_offsets
+        if keep:
+            at, rows = _stored(at, [size] * len(at), dtype), _stored(rows, [n] * u, dtype)
+            if u not in kept:
+                kept[u] = tuple(_patterns(p, u, sizes[u][1], None))
+            patterns = kept[u]
+        else:
+            patterns = _patterns(p, u, sizes[u][1], weights)
+        yield u, k, at[:u], at[u:] if u < m else None, rows, patterns
 
 
 # this thread's engine buffers, one flat array per key (see _buffers)
@@ -351,14 +539,15 @@ def _pattern_weights(hits: np.ndarray, bufs) -> np.ndarray:
     hits[t, j, q] is 1 when pattern j removes row q of U from axis t. Entry
     (q_0, ..., q_{d-2}) of w[j], in base u + 1, weighs the padded array's
     entry at those rows of U, with q_t = u for the slot n. The factors are
-    multiplied into the two flat buffers bufs in turn.
+    multiplied into the two flat buffers bufs in turn, or, with bufs None,
+    into fresh arrays.
     """
     axes, npat, u = hits.shape
     f = np.ones((axes, npat, u + 1))
     f[:, :, :u] = -hits
     w = f[-1]
     for t, ft in enumerate(f[-2::-1]):
-        out = _shaped(bufs[t % 2], npat, u + 1, w.shape[1])
+        out = None if bufs is None else _shaped(bufs[t % 2], npat, u + 1, w.shape[1])
         w = np.multiply(ft[:, :, None], w[:, None, :], out=out).reshape(npat, -1)
     return w
 
@@ -403,10 +592,11 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     make, so a block forms lead and e_1 the same way at every order, which
     keeps lower orders a bit-exact prefix of higher ones. Below order
     m - 1, r is the carried row sums with the rows of U zeroed; they stay
-    zeroed, since no later block reads them there. The complex block
-    temporaries (factors, row sums, gathered columns, lead and e_1) are
-    views of this thread's workspace, which spares them the page faults
-    of fresh pages; the index arrays are ordinary np.intp temporaries.
+    zeroed, since no later block reads them there. Every position comes
+    from the compiled program (_matrix_program), so a block only gathers,
+    subtracts and multiplies. The complex block temporaries (factors, row
+    sums, gathered columns, lead and e_1) are views of this thread's
+    workspace, which spares them the page faults of fresh pages.
     """
     nb, n = stack.shape[:2]
     caps = [k for k, _ in sizes]
@@ -426,49 +616,24 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     scratch, product, first, *held = _buffers("terms", np.complex128, regions)
     kept, removed = scratch[: m * wide], scratch[m * wide :]
     held, levels = held[: max(m - 1, 0)], held[max(m - 1, 0) :]
-    batch = np.arange(nb)[:, None]
-    grand = None
-
-    def offsets(at, scale, width):
-        # at * scale + b width for every matrix b: the block's B K positions
-        # of the per-matrix indices at
-        at = at * scale
-        return at if nb == 1 else (at + batch * width).ravel()
-
     # row sums ((n + 1) x B K) and factors of the last block at each size;
     # row n of the row sums, and row 0 of the factors, is T
     carry = [a.reshape(n + 1, nb, n).sum(axis=2)] + [None] * m
     kept_factors = [carry[0][n:]] + [None] * m
-    for rows, parent in _plan(n, m, caps):
-        u, k = rows.shape
-        if not u:
-            yield 0, np.ones(nb), carry[0][:n], None
-            continue
+    yield 0, np.ones(nb), carry[0][:n], None
+    # mode="raise" would copy through a temporary; see _program for the checks
+    for u, k, up, at_r, cut_r, at_a, col, zero in _program(2, n, m, sizes, nb):
         c, top = nb * k, int(u == m)
-        # row n, then the rows of U, widened and repeated for each matrix
-        ext = np.empty((u + 1, nb, k), np.intp)
-        ext[0], ext[1:] = n, rows[:, None]
-        ext = ext[top:].reshape(u + 1 - top, c)
-        rows, parent = ext[1 - top :], parent.astype(np.intp)
-        # T and the old rows' factors from the parent's; order m needs no T.
-        # mode="raise" would copy through a temporary, and _plan checked the block
-        before = kept_factors[u - 1]
-        up = offsets(parent, 1, before.shape[1] // nb)
-        factors = _shaped(kept if top else held[u - 1], len(ext), c)
-        before[top:].take(up, axis=1, out=factors[:-1], mode="clip")
+        # T and the old rows' factors from the parent's; order m needs no T
+        factors = _shaped(kept if top else held[u - 1], len(at_a), c)
+        kept_factors[u - 1][top:].take(up, axis=1, out=factors[:-1], mode="clip")
         # the new row's r_j from the parent's row sums; order m has none
         # carried, so it starts from the grandparent's, less the parent's column
-        if u == m > 1:
-            src = carry[u - 2]
-            at = offsets(grand[parent], 1, src.shape[1] // nb)
-        else:
-            src, at = carry[u - 1], up
-        src.take(rows[-1] * src.shape[1] + at, out=factors[-1], mode="clip")
-        if u == m > 1:
-            cut = offsets(rows[-2, :k], n + 1, (n + 1) * n)
-            factors[-1] -= a_t.take(rows[-1] + cut, out=_shaped(removed, c), mode="clip")
-        cut = offsets(rows[-1, :k], n + 1, (n + 1) * n)
-        factors -= a_t.take(ext + cut, out=_shaped(removed, len(ext), c), mode="clip")
+        src = carry[u - 2] if cut_r is not None else carry[u - 1]
+        src.take(at_r, out=factors[-1], mode="clip")
+        if cut_r is not None:
+            factors[-1] -= a_t.take(cut_r, out=_shaped(removed, c), mode="clip")
+        factors -= a_t.take(at_a, out=_shaped(removed, len(at_a), c), mode="clip")
         # the last u rows of factors are r_i(U), i in U
         lead = np.multiply.reduce(factors[-u:], axis=0, out=product[:c])
         if u % 2:
@@ -479,19 +644,18 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
         # subtract never sums pairwise, so one column gives the bits that many do
         e1 = np.subtract.reduce(factors, axis=0, out=first[:c])
         kept_factors[u] = factors
-        if u == m - 1:
-            grand = parent
+        if col is None:
             yield u, lead, None, e1
             continue
-        cut = offsets(rows[-1, :k], 1, n)
-        r = carry[u] = src.take(up, axis=1, out=_shaped(levels[u - 1], n + 1, c), mode="clip")
+        flat = levels[u - 1][: (n + 1) * c]
+        r = carry[u] = src.take(up, axis=1, out=flat.reshape(n + 1, c), mode="clip")
         # column j of a, as many rows at a time as scratch holds
         step = len(scratch) // c
         for i in range(0, n + 1, step):
             part = a[i : i + step]
-            part = part.take(cut, axis=1, out=_shaped(scratch, len(part), c), mode="clip")
+            part = part.take(col, axis=1, out=_shaped(scratch, len(part), c), mode="clip")
             r[i : i + step] -= part
-        r[rows, np.arange(c)] = 0.0
+        flat[zero] = 0.0
         yield u, lead, r[:n], e1
 
 
@@ -507,50 +671,34 @@ def _tensor_terms(stack: np.ndarray, m: int, sizes):
     each pattern block then weighs them (_slice_sums). Tensor b's padded
     entries sit at offset b n (n + 1)^(d-1), and its columns come first
     in lead and r: column (b P + q) K + j is pattern q of co-subset j of
-    tensor b. The gathered entries, slice sums, lead products and pattern
-    weights are views of this thread's workspace, which spares them the
-    page faults of fresh pages; the index arrays are ordinary np.intp
-    temporaries.
+    tensor b. The positions and the pattern weights come from the compiled
+    program (_tensor_program). The gathered entries, slice sums and lead
+    products are views of this thread's workspace, which spares them the
+    page faults of fresh pages.
     """
     nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
     ext = stack
     for t in range(2, d + 1):
         ext = np.concatenate((ext, ext.sum(axis=t, keepdims=True)), axis=t)
-    ext, stride = ext.ravel(), (n + 1) ** (d - 1)
+    ext = ext.ravel()
     # entries gathered, and slice sums formed, for each row of a block of each size
     gather = [nb * k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes)]
     slices = [nb * k * npb for k, npb in sizes]
     lead_in, all_in, summed, product = _buffers(
         "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
     )
-    weight_size = max(npb * (u + 1) ** (d - 1) for u, (_, npb) in enumerate(sizes))
-    weights = _buffers("weights", np.float64, [weight_size] * 2)
-    row_offsets = np.arange(n)[:, None, None, None] * stride
-    batch_offsets = np.arange(nb)[:, None, None] * (n * stride)
-    for rows, _ in _plan(n, m, [cap for cap, _ in sizes]):
-        rows = rows.astype(np.intp)
-        u, k = rows.shape
-        # offsets ((u + 1)^(d-1) x K) of the rows of U and slot n on every axis
-        ends, slots = np.concatenate((rows, np.full((1, k), n))), np.zeros((1, k), np.intp)
-        for _ in range(d - 1):
-            slots = (slots[:, None] * (n + 1) + ends).reshape(-1, k)
-        width = len(slots)
-        # mode="raise" would copy through a temporary; _plan checked the block
-        at = (rows * stride)[:, None, None] + slots + batch_offsets
-        lead_entries = ext.take(at, out=_shaped(lead_in, u, nb, width, k), mode="clip")
-        if u < m:
-            at = row_offsets + slots + batch_offsets
-            all_entries = ext.take(at, out=_shaped(all_in, n, nb, width, k), mode="clip")
-        for vals in _pattern_blocks((1 << (d - 1)) - 1, u, sizes[u][1]):
-            hits = (vals >> np.arange(d - 1)[:, None, None]) & 1
-            w = _pattern_weights(hits, weights)
+    # mode="raise" would copy through a temporary; see _program for the checks
+    for u, k, lead_at, all_at, rows, patterns in _program(d, n, m, sizes, nb):
+        lead_entries = ext.take(lead_at, out=_shaped(lead_in, *lead_at.shape), mode="clip")
+        if all_at is not None:
+            all_entries = ext.take(all_at, out=_shaped(all_in, *all_at.shape), mode="clip")
+        for w, sign in patterns:
             npat = len(w)
-            sign = np.where(hits.sum(axis=(0, 2)) % 2, -1.0, 1.0)[:, None]
             lead = _slice_sums(w, lead_entries, _shaped(summed, u, nb, npat, k))
             lead = np.multiply.reduce(lead, axis=0, out=_shaped(product, nb, npat, k))
             lead *= sign
             r = None
-            if u < m:
+            if all_at is not None:
                 r = _slice_sums(w, all_entries, _shaped(summed, n, nb, npat, k))
                 r[rows, :, :, np.arange(k)] = 0.0
                 r = r.reshape(n, -1)
@@ -573,10 +721,11 @@ def _ryser_stack(stack: np.ndarray, m: int) -> np.ndarray:
 
     where e_j is the elementary symmetric polynomial. For d = 2 this is
     Ryser's formula truncated at order m. The co-subsets U are walked as a
-    prefix tree (_co_subset_blocks, read from a cached plan, see _plan),
-    and the step picked by d yields each block's signed lead products,
-    for a matrix at 1 <= u < m its e_1, and, where needed, its slice sums
-    (n x columns) with the rows of U zeroed, valid until the step resumes.
+    prefix tree (_co_subset_blocks, compiled into a cached program, see
+    _program), and the step picked by d yields each block's signed lead
+    products, for a matrix at 1 <= u < m its e_1, and, where needed, its
+    slice sums (n x columns) with the rows of U zeroed, valid until the
+    step resumes.
     Order m needs only the lead, so its tuples, the most numerous, cost
     O(u (u + 1)^(d-1)) whatever n is.
 
@@ -589,9 +738,8 @@ def _ryser_stack(stack: np.ndarray, m: int) -> np.ndarray:
     The large block temporaries, complex and float, the recurrence's
     included, are views of a per-thread workspace sized from _block_sizes
     (see _buffers): fresh ones would take page faults on every block, and
-    a warmed call takes none. The walk's indices come from its cached
-    plan, and the index arithmetic on them makes small ordinary np.intp
-    arrays, which numpy reuses without faults.
+    a warmed call takes none. Every position that the blocks gather comes
+    from the compiled program, so a warmed call does no index arithmetic.
     """
     nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
     sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]

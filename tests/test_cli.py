@@ -208,6 +208,13 @@ def test_gen_rejects_empty_instances(cli, kind):
     assert out == "" and "--n must be positive" in err
 
 
+@pytest.mark.parametrize("d", ["0", "-1", "1"])
+def test_gen_tensor_rejects_dimensions_below_two(cli, d):
+    code, out, err = cli("gen", "tensor", "--d", d, "--n", "3")
+    assert code == 1
+    assert out == "" and err == 'error: "d" must be an integer >= 2\n'
+
+
 ARRAY_GENERATORS = ["block_extremal_matrix", "random_admissible_matrix",
                     "random_admissible_tensor", "random_dominant_matrix"]
 
@@ -399,7 +406,7 @@ def test_matching_stats_charges_the_dense_encoding(tmp_path, monkeypatch, capsys
         assert cli_module.run([*argv, "--work-cap", "1727"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: dense encoding of the hypergraph needs n^d = 1728 tensor entries, " \
+    assert err == "error: dense encoding of the hypergraph needs n^d = 12^3 tensor entries, " \
         "cap is 1727\n"
     assert cli_module.run([*argv, "--work-cap", "1728"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == [1.0, 0.0]

@@ -199,6 +199,16 @@ def test_matching_stats_diagonal_only():
     assert res.delta == 1
 
 
+def test_matching_stats_caps_a_huge_encoding_without_forming_its_size():
+    # 10^5000 has more digits than Python turns into a string by default
+    h = DPartiteHypergraph(5000, 10, _diag(5000, 10))
+    message = ("dense encoding of the hypergraph needs n^d = 10^5000 tensor entries, "
+               f"cap is {WORK_CAP}")
+    with pytest.raises(SizeCapError) as caught:
+        matching_stats(h, 0.4)
+    assert str(caught.value) == message
+
+
 def test_matching_stats_bipartite():
     h = DPartiteHypergraph(2, 2, ((0, 0), (1, 1), (0, 1), (1, 0)))
     lam = 0.4

@@ -263,48 +263,92 @@ def test_warmed_engine_calls_take_no_page_faults():
 # interleaved shapes; m = 1 and n = 2, 3 give blocks of one column
 PLAN_SHAPES = [(2, 18, 6), (3, 5, 5), (2, 2, 1), (2, 16, 6), (4, 4, 3), (2, 3, 3), (2, 18, 1),
                (5, 3, 3), (2, 12, 8), (3, 7, 2), (2, 2, 2), (2, 18, 6)]
+# stacks of B arrays (d, n, m, B), whose programs hold B K columns a block
+STACK_SHAPES = [(2, 2, 2, 9), (2, 12, 6, 2), (2, 5, 4, 3), (3, 3, 3, 4), (4, 3, 2, 3), (5, 2, 2, 2)]
 
 
 def _plan_sums(shapes):
     return [_bits(_ryser_sums(_array(d, n, 70 + n), m)) for d, n, m in shapes]
 
 
+def _stack_sums(shapes):
+    stacks = [np.stack([_array(d, n, 80 + b) for b in range(nb)]) for d, n, _, nb in shapes]
+    return [_bits(taylor._ryser_stack(s, m).ravel()) for s, (_, _, m, _) in zip(stacks, shapes)]
+
+
 def test_cached_plans_keep_every_bit(monkeypatch):
-    warm = _plan_sums(PLAN_SHAPES)
-    assert _plan_sums(PLAN_SHAPES) == warm
-    cold = []
+    warm = _plan_sums(PLAN_SHAPES), _stack_sums(STACK_SHAPES)
+    assert (_plan_sums(PLAN_SHAPES), _stack_sums(STACK_SHAPES)) == warm
+    cold = [], []
     for shape in PLAN_SHAPES:
         taylor._plans.clear()
-        cold += _plan_sums([shape])
+        cold[0].extend(_plan_sums([shape]))
+    for shape in STACK_SHAPES:
+        taylor._plans.clear()
+        cold[1].extend(_stack_sums([shape]))
     assert cold == warm
-    # a budget below every plan walks each call afresh
+    # a budget below every program compiles each call afresh, block by block
     monkeypatch.setattr(taylor, "PLAN_BYTES", 0)
-    assert _plan_sums(PLAN_SHAPES) == warm
-    for (d, n, m), sums in zip(PLAN_SHAPES, warm):
+    taylor._plans.clear()
+    assert (_plan_sums(PLAN_SHAPES), _stack_sums(STACK_SHAPES)) == warm
+    assert not taylor._plans
+    for (d, n, m), sums in zip(PLAN_SHAPES, warm[0]):
         if m:
             assert _plan_sums([(d, n, m - 1)])[0] == sums[:m]
+
+
+def _held_arrays(program):
+    """The arrays a program holds, each once, with the views of them that its steps hold."""
+    owners, todo = {}, [program]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            owner = x if x.base is None else x.base
+            owners.setdefault(id(owner), (owner, {}))[1][id(x)] = x
+        elif isinstance(x, tuple):
+            todo.extend(x)
+    return [(owner, list(views.values())) for owner, views in owners.values()]
 
 
 def test_plans_stay_within_their_budget(monkeypatch):
     monkeypatch.setattr(taylor, "PLAN_BYTES", 60_000)
     taylor._plans.clear()
     cached = set()
-    for d, n, m in [(2, n, m) for n in range(2, 19) for m in (2, 4, 6)] + PLAN_SHAPES:
-        _ryser_sums(_array(d, n, n), min(m, n))
+    shapes = [(2, n, m, 1) for n in range(2, 19) for m in (2, 4, 6)]
+    shapes += [(d, n, m, 1) for d, n, m in PLAN_SHAPES] + STACK_SHAPES
+    for d, n, m, nb in shapes:
+        m = min(m, n)
+        taylor._ryser_stack(np.stack([_array(d, n, n + b) for b in range(nb)]), m)
         kept = list(taylor._plans.values())
         assert sum(size for _, size in kept) <= taylor.PLAN_BYTES
-        for plan, size in kept:
-            arrays = [x for block in plan for x in block if x is not None]
-            assert sum(x.nbytes for x in arrays) == size
-            assert not any(x.flags.writeable for x in arrays)
-        # a plan that fits is the most recently used one
+        for program, size in kept:
+            held = _held_arrays(program)
+            assert sum(owner.nbytes for owner, _ in held) == size
+            # the steps view each array whole, once, and read-only
+            assert all(sum(x.nbytes for x in views) == owner.nbytes for owner, views in held)
+            assert not any(x.flags.writeable for owner, views in held for x in [owner, *views])
+        # a program that fits is the most recently used one
         newest = next(reversed(taylor._plans))
-        if any(key[1:3] == (n, min(m, n)) for key in taylor._plans):
-            assert newest[1:3] == (n, min(m, n))
+        if any(key[1:4] == (d, n, m) and key[-1] == nb for key in taylor._plans):
+            assert newest[1:4] == (d, n, m) and newest[-1] == nb
             cached.add(newest)
-    # the plans for n = 18, m = 6 exceed the budget; many smaller ones were evicted
-    assert all(key[1:3] != (18, 6) for key in taylor._plans)
+    # the programs for n = 18, m = 6 exceed the budget; many smaller ones were evicted
+    assert all(key[1:4] != (2, 18, 6) for key in taylor._plans)
     assert len(taylor._plans) < len(cached)
+
+
+def test_programs_above_the_budget_are_not_kept():
+    # d = 5, n = 4, m = 4 takes 261 MB of pattern weights: compiled block by block
+    taylor._plans.clear()
+    t = _array(5, 4, 5)
+    want = _bits(_ryser_sums(t, 4))
+    assert not taylor._plans
+    size, _ = taylor._program_bytes(5, 4, 4, [_block_sizes(4, 15, u) for u in range(5)], 1)
+    assert size > 200e6
+    assert _bits(_ryser_sums(t, 4)) == want
+    # a shape that fits is kept
+    _ryser_sums(t[:3, :3, :3, :3, :3], 2)
+    assert [key[1:4] for key in taylor._plans] == [(5, 3, 2)]
 
 
 def test_threads_share_plans_bit_for_bit():
@@ -339,7 +383,8 @@ def _close(got, want):
 
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_plan_dtype_boundaries_match_small_principal_permanents(n):
-    # rows of n = 256 still fit a uint8 plan, and row * n must not wrap in it
+    # the walk's rows of n = 255 are uint8, those of n = 256 uint16, and the
+    # positions computed from them must not wrap
     a = _array(2, n, n)
     diag = np.diag(a)
     pairs = (diag.sum() ** 2 - (diag**2).sum()) / 2 + ((a * a.T).sum() - (diag**2).sum()) / 2
@@ -348,7 +393,7 @@ def test_plan_dtype_boundaries_match_small_principal_permanents(n):
 
 
 def test_plan_rows_widen_before_the_tensor_stride():
-    # d = 3, n = 16: rows fit a uint8 plan, the stride (n + 1)^2 = 289 does not
+    # d = 3, n = 16: the walk's rows are uint8, the stride (n + 1)^2 = 289 does not fit
     n = 16
     t = _array(3, n, 16)
     c = _ryser_sums(t, 2)
@@ -396,6 +441,20 @@ def test_top_order_e1_keeps_the_recurrences_running_sum():
     for x in diag:
         running += x
     assert _bits(_ryser_sums(np.diag(diag), 1)[1:]) == _bits([running])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_compiled_position_outside_its_array_raises(monkeypatch, d):
+    # with the walk's own check bypassed, row n + 1 gives positions past the array
+    def walk(n, m, caps):
+        yield np.zeros((0, 1), dtype=np.uint8), None
+        yield np.array([[n + 1]], dtype=np.uint8), np.zeros(1, dtype=np.intp)
+
+    monkeypatch.setattr(taylor, "_checked_walk", walk)
+    taylor._plans.clear()
+    with pytest.raises(IndexError, match="compiled position"):
+        _ryser_sums(_array(d, 4, 1), 2)
+    assert not any(key[1:4] == (d, 4, 2) for key in taylor._plans)
 
 
 @pytest.mark.parametrize("d", [2, 3])
