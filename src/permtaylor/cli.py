@@ -34,7 +34,7 @@ from .core import (
     tensor_from_json,
     tensor_to_json,
 )
-from .dominance import check_dominance_tensor, scaled_dominance_report
+from .dominance import check_dominance_tensor, diagonal_normal_form
 from .exact import permanent_ryser, permanent_tensor
 from .generators import (
     block_extremal_matrix,
@@ -140,9 +140,7 @@ def _cmd_approx(args) -> dict:
 def _cmd_dominance(args) -> dict:
     arr = _load_array(args.input)
     if args.scaled:
-        if arr.ndim != 2:
-            raise ValueError("--scaled applies to matrices only")
-        return scaled_dominance_report(arr).to_json()
+        return diagonal_normal_form(arr).report.to_json()
     return check_dominance_tensor(arr).to_json()
 
 
@@ -236,8 +234,8 @@ def _approx_args(p) -> None:
 def _dominance_args(p) -> None:
     _common(p, _cmd_dominance)
     p.add_argument("--scaled", action="store_true",
-                   help="off-diagonal mass relative to |b_ii| (strong-dominance check "
-                        "for a general matrix B)")
+                   help="off-diagonal mass relative to |b_i...i| (strong-dominance check "
+                        "for a general matrix or tensor B)")
 
 
 def _matching_stats_args(p) -> None:

@@ -44,19 +44,6 @@ def check_subset(subset: Sequence[int], n: int) -> tuple[int, ...]:
     return s
 
 
-def _definitional_core(rows: list[list[complex]]) -> complex:
-    n = len(rows)
-    if n == 0:
-        return complex(1.0)
-    acc = ComplexNeumaier()
-    for perm in itertools.permutations(range(n)):
-        p = complex(1.0)
-        for i in range(n):
-            p *= rows[i][perm[i]]
-        acc.add(p)
-    return acc.value()
-
-
 def _ryser_core(rows: list[list[complex]]) -> complex:
     """(-1)^n sum over column subsets S of (-1)^|S| prod_i sum_{j in S} a_ij.
 
@@ -99,8 +86,10 @@ def _tensor_core(nested, n: int, d: int) -> complex:
     if n == 0:
         return complex(1.0)
     acc = ComplexNeumaier()
-    perms = list(itertools.permutations(range(n)))
-    for sigmas in itertools.product(perms, repeat=d - 1):
+    perms = itertools.permutations(range(n))
+    # a matrix streams its n! permutations instead of holding them
+    tuples = zip(perms) if d == 2 else itertools.product(list(perms), repeat=d - 1)
+    for sigmas in tuples:
         p = complex(1.0)
         for i in range(n):
             v = nested[i]
@@ -117,7 +106,7 @@ def permanent_definitional(a, max_n: int = DEFINITIONAL_CAP) -> complex:
     n = arr.shape[0]
     if n > max_n:
         raise SizeCapError(f"definitional permanent capped at n <= {max_n}, got n = {n}")
-    return _definitional_core(arr.tolist())
+    return _tensor_core(arr.tolist(), n, 2)
 
 
 def permanent_ryser(a, max_n: int = RYSER_CAP) -> complex:

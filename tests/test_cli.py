@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 from permtaylor import cli as cli_module
-from permtaylor import dominance, hypergraph, json_dumps, matrix_from_json, matrix_to_json, taylor
+from permtaylor import (
+    dominance,
+    hypergraph,
+    identity_tensor,
+    json_dumps,
+    matrix_from_json,
+    matrix_to_json,
+    taylor,
+    tensor_from_json,
+    tensor_to_json,
+)
 
 
 @pytest.fixture
@@ -100,6 +110,18 @@ def test_dominance_scaled_flag(tmp_path, cli):
     assert doc["admissible"] is True
     assert doc["effective_lambda"] <= 0.6
     assert doc["form"] == "general_b"
+
+
+def test_dominance_scaled_flag_on_tensor(tmp_path, cli):
+    code, out, _ = cli("gen", "tensor", "--d", "3", "--n", "3", "--lambda", "0.6", "--seed", "4")
+    t = tensor_from_json(json.loads(out))
+    path = tmp_path / "b.json"
+    path.write_text(json_dumps(tensor_to_json(identity_tensor(3, 3) + t)))
+    code, out, _ = cli("dominance", "--scaled", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["form"] == "general_b"
+    assert len(doc["row_sums"]) == 3
 
 
 def test_tensor_pipeline(tmp_path, cli):

@@ -3,15 +3,13 @@ import pytest
 
 from permtaylor import (
     DominanceForm,
-    InadmissibleInputError,
     SingularScalingError,
     check_dominance_matrix,
     check_dominance_tensor,
+    diagonal_normal_form,
     identity_tensor,
-    normalize_strongly_dominant,
     permanent_ryser,
     permanent_tensor,
-    strip_diagonal,
 )
 from permtaylor.generators import (
     block_extremal_matrix,
@@ -61,7 +59,7 @@ def test_tensor_reports():
 
 def test_normalize_diagonal_matrix():
     diag = np.array([2.0, -1.5 + 0.5j, 0.25j])
-    prob = normalize_strongly_dominant(np.diag(diag), 0.5)
+    prob = diagonal_normal_form(np.diag(diag))
     assert np.count_nonzero(prob.a) == 0
     assert prob.log_prefactor == pytest.approx(np.sum(np.log(diag)))
     assert np.exp(prob.log_prefactor) == pytest.approx(np.prod(diag))
@@ -71,7 +69,7 @@ def test_normalize_scaled_shift():
     rng = np.random.default_rng(21)
     a0 = random_admissible_matrix(5, 0.6, rng, zero_diag=True)
     b = 2.0 * (np.eye(5) + a0)
-    prob = normalize_strongly_dominant(b, 0.7)
+    prob = diagonal_normal_form(b)
     assert np.allclose(prob.a, a0, atol=1e-14)
     assert prob.log_prefactor == pytest.approx(5 * np.log(2))
 
@@ -80,7 +78,7 @@ def test_normalize_preserves_permanent():
     rng = np.random.default_rng(22)
     for _ in range(6):
         b = random_dominant_matrix(6, 0.6, rng)
-        prob = normalize_strongly_dominant(b, 0.6)
+        prob = diagonal_normal_form(b)
         assert prob.report.admissible
         assert prob.report.effective_lambda <= 0.6 + 1e-12
         lhs = np.exp(prob.log_prefactor) * permanent_ryser(np.eye(6) + prob.a)
@@ -88,29 +86,44 @@ def test_normalize_preserves_permanent():
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
+def test_normalize_preserves_tensor_permanent():
+    rng = np.random.default_rng(27)
+    for n in (3, 4):
+        b = rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3)
+        b[(np.arange(n),) * 3] += 3.0  # keep the diagonal away from zero
+        prob = diagonal_normal_form(b)
+        lhs = np.exp(prob.log_prefactor) * permanent_tensor(identity_tensor(3, n) + prob.a)
+        rhs = permanent_tensor(b)
+        assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
 def test_normalize_rejects_zero_diagonal():
     b = np.array([[0, 0.1], [0.1, 1]], dtype=complex)
     with pytest.raises(SingularScalingError):
-        normalize_strongly_dominant(b, 0.5)
+        diagonal_normal_form(b)
 
 
-def test_normalize_rejects_violated_dominance():
+def test_normalize_reports_violated_dominance():
+    # lam = 0.5 is violated: row 0 has off-diagonal mass 0.9 > 0.5 |b_00|
     b = np.array([[1.0, 0.9], [0.0, 1.0]])
-    with pytest.raises(InadmissibleInputError):
-        normalize_strongly_dominant(b, 0.5)
+    report = diagonal_normal_form(b).report
+    assert report.row_sums == pytest.approx((0.9, 0.0))
+    assert report.effective_lambda > 0.5
+    assert report.admissible
+    assert report.form is DominanceForm.GENERAL_B
 
 
 def test_strip_zero_diagonal_is_identity():
     rng = np.random.default_rng(23)
     a = random_admissible_matrix(4, 0.5, rng, zero_diag=True)
-    prob = strip_diagonal(a)
+    prob = diagonal_normal_form(np.eye(4) + a)
     assert prob.log_prefactor == 0
     assert np.array_equal(prob.a, a)
 
 
 def test_strip_diagonal_only_matrix():
     d = np.array([0.2, -0.3j, 0.1 + 0.1j])
-    prob = strip_diagonal(np.diag(d))
+    prob = diagonal_normal_form(np.eye(3) + np.diag(d))
     assert np.count_nonzero(prob.a) == 0
     assert prob.log_prefactor == pytest.approx(np.sum(np.log(1 + d)))
 
@@ -119,7 +132,7 @@ def test_strip_preserves_permanent_matrix():
     rng = np.random.default_rng(24)
     for n in (4, 6, 7):
         a = random_admissible_matrix(n, 0.7, rng)
-        prob = strip_diagonal(a)
+        prob = diagonal_normal_form(np.eye(n) + a)
         lhs = np.exp(prob.log_prefactor) * permanent_ryser(np.eye(n) + prob.a)
         rhs = permanent_ryser(np.eye(n) + a)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
@@ -129,8 +142,8 @@ def test_strip_preserves_permanent_tensor():
     rng = np.random.default_rng(25)
     for n in (3, 4):
         t = random_admissible_tensor(3, n, 0.7, rng)
-        prob = strip_diagonal(t)
         eye = identity_tensor(3, n)
+        prob = diagonal_normal_form(eye + t)
         lhs = np.exp(prob.log_prefactor) * permanent_tensor(eye + prob.a)
         rhs = permanent_tensor(eye + t)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
@@ -142,14 +155,30 @@ def test_strip_output_stays_admissible():
     rng = np.random.default_rng(26)
     for _ in range(20):
         a = random_admissible_matrix(5, 0.95, rng)
-        prob = strip_diagonal(a)
+        prob = diagonal_normal_form(np.eye(5) + a)
         assert prob.report.admissible
         assert prob.report.effective_lambda < 1.0
 
 
-def test_strip_rejects_inadmissible():
-    with pytest.raises(InadmissibleInputError):
-        strip_diagonal(np.full((3, 3), 0.5 + 0j))
+def test_strip_minus_identity_is_singular():
+    a = -np.eye(3)
+    with pytest.raises(SingularScalingError):
+        diagonal_normal_form(np.eye(3) + a)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 0, 0)])
+def test_empty_array_reports_admissible(shape):
+    empty = np.zeros(shape, dtype=complex)
+    check = check_dominance_matrix if len(shape) == 2 else check_dominance_tensor
+    r = check(empty)
+    assert r.row_sums == ()
+    assert r.effective_lambda == 0.0
+    assert r.admissible
+    prob = diagonal_normal_form(empty)
+    assert prob.a.shape == shape
+    assert prob.log_prefactor == 0
+    assert prob.report.row_sums == ()
+    assert prob.report.admissible
 
 
 def test_report_json_schema():
