@@ -61,10 +61,11 @@ def _load_array(path: str):
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f'grid must look like "64x64", got {text!r}')
-    return int(parts[0]), int(parts[1])
+    try:
+        radial, angular = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f'grid must look like "64x64", got {text!r}') from None
+    return radial, angular
 
 
 def _emit(doc: dict, pretty: bool) -> None:

@@ -8,41 +8,23 @@ accurate.
 from __future__ import annotations
 
 
-class Neumaier:
-    """Running compensated sum of real floats."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self.s
-        t = s + x
-        # the branch recovers the rounding error of s + x exactly
-        if abs(s) >= abs(x):
-            self.c += (s - t) + x
-        else:
-            self.c += (x - t) + s
-        self.s = t
-
-    def value(self) -> float:
-        return self.s + self.c
-
-
 class ComplexNeumaier:
-    """Compensated sum of complex values, one accumulator per component."""
+    """Compensated sum of complex values: a sum and a compensation per component."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "re_c", "im", "im_c")
 
     def __init__(self) -> None:
-        self.re = Neumaier()
-        self.im = Neumaier()
+        self.re = self.re_c = self.im = self.im_c = 0.0
 
     def add(self, z: complex) -> None:
-        self.re.add(z.real)
-        self.im.add(z.imag)
+        self.re, self.re_c = _add(self.re, self.re_c, z.real)
+        self.im, self.im_c = _add(self.im, self.im_c, z.imag)
 
     def value(self) -> complex:
-        return complex(self.re.value(), self.im.value())
+        return complex(self.re + self.re_c, self.im + self.im_c)
+
+
+def _add(s: float, c: float, x: float) -> tuple[float, float]:
+    t = s + x
+    # the branch recovers the rounding error of s + x exactly
+    return t, c + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)

@@ -179,6 +179,19 @@ def test_zero_scan_rejects_bad_radius(matrix_file, cli, radius):
     assert out == "" and err.startswith("error:") and "radius" in err
 
 
+@pytest.mark.parametrize("grid", ["axb", "64x", "x64", "8", "8x8x8", "8.5x8", ""])
+def test_zero_scan_rejects_a_malformed_grid(matrix_file, cli, grid):
+    code, out, err = cli("zero-scan", "--grid", grid, str(matrix_file))
+    assert (code, out) == (1, "")
+    assert err == f"error: grid must look like \"64x64\", got {grid!r}\n"
+
+
+@pytest.mark.parametrize("grid", ["0x8", "8x-1"])
+def test_zero_scan_rejects_a_grid_without_points(matrix_file, cli, grid):
+    code, out, err = cli("zero-scan", "--grid", grid, str(matrix_file))
+    assert (code, out, err) == (1, "", "error: grid resolution must be positive\n")
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_matching_stats_rejects_non_finite_lambda(tmp_path, cli, lam):
     doc = {"d": 2, "n": 2, "edges": [[0, 0], [1, 1], [0, 1]]}

@@ -27,7 +27,8 @@ from permtaylor import (
     permanent_tensor,
 )
 from permtaylor.generators import random_hypergraph
-from permtaylor.taylor import WORK_CAP, choose_order, minor_sum_work
+from permtaylor.engine import minor_sum_work
+from permtaylor.taylor import WORK_CAP, choose_order
 
 
 def _diag(d, n):

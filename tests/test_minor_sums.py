@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import permtaylor.engine as engine
 import permtaylor.taylor as taylor
 
 from permtaylor import (
@@ -30,14 +31,9 @@ from permtaylor import (
     principal_submatrix,
     principal_subtensor,
 )
+from permtaylor.engine import _block_sizes, _co_subset_blocks, _pattern_blocks
 from permtaylor.generators import random_admissible_matrix, random_admissible_tensor
-from permtaylor.taylor import (
-    WORK_CAP,
-    _block_sizes,
-    _co_subset_blocks,
-    _pattern_blocks,
-    _ryser_sums,
-)
+from permtaylor.taylor import WORK_CAP
 
 from conftest import run_cli
 
@@ -47,6 +43,10 @@ def _array(d, n, seed):
     if d == 2:
         return random_admissible_matrix(n, 0.7, rng)
     return random_admissible_tensor(d, n, 0.7, rng)
+
+
+def _lone_sums(a, m):
+    return [complex(c) for c in engine.minor_sums(a[None], m)[0]]
 
 
 def _oracle_sums(a):
@@ -252,11 +252,11 @@ def test_warmed_engine_calls_take_no_page_faults():
     resource = pytest.importorskip("resource")
     calls = [(_array(2, 18, 18), 6), (_array(3, 7, 7), 6)]
     for a, m in calls:
-        _ryser_sums(a, m)
+        _lone_sums(a, m)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
         for a, m in calls:
-            _ryser_sums(a, m)
+            _lone_sums(a, m)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
 
 
@@ -268,12 +268,12 @@ STACK_SHAPES = [(2, 2, 2, 9), (2, 12, 6, 2), (2, 5, 4, 3), (3, 3, 3, 4), (4, 3, 
 
 
 def _plan_sums(shapes):
-    return [_bits(_ryser_sums(_array(d, n, 70 + n), m)) for d, n, m in shapes]
+    return [_bits(_lone_sums(_array(d, n, 70 + n), m)) for d, n, m in shapes]
 
 
 def _stack_sums(shapes):
     stacks = [np.stack([_array(d, n, 80 + b) for b in range(nb)]) for d, n, _, nb in shapes]
-    return [_bits(taylor._ryser_stack(s, m).ravel()) for s, (_, _, m, _) in zip(stacks, shapes)]
+    return [_bits(engine._ryser_stack(s, m).ravel()) for s, (_, _, m, _) in zip(stacks, shapes)]
 
 
 def test_cached_plans_keep_every_bit(monkeypatch):
@@ -281,17 +281,17 @@ def test_cached_plans_keep_every_bit(monkeypatch):
     assert (_plan_sums(PLAN_SHAPES), _stack_sums(STACK_SHAPES)) == warm
     cold = [], []
     for shape in PLAN_SHAPES:
-        taylor._plans.clear()
+        engine._plans.clear()
         cold[0].extend(_plan_sums([shape]))
     for shape in STACK_SHAPES:
-        taylor._plans.clear()
+        engine._plans.clear()
         cold[1].extend(_stack_sums([shape]))
     assert cold == warm
     # a budget below every program compiles each call afresh, block by block
-    monkeypatch.setattr(taylor, "PLAN_BYTES", 0)
-    taylor._plans.clear()
+    monkeypatch.setattr(engine, "PLAN_BYTES", 0)
+    engine._plans.clear()
     assert (_plan_sums(PLAN_SHAPES), _stack_sums(STACK_SHAPES)) == warm
-    assert not taylor._plans
+    assert not engine._plans
     for (d, n, m), sums in zip(PLAN_SHAPES, warm[0]):
         if m:
             assert _plan_sums([(d, n, m - 1)])[0] == sums[:m]
@@ -311,16 +311,16 @@ def _held_arrays(program):
 
 
 def test_plans_stay_within_their_budget(monkeypatch):
-    monkeypatch.setattr(taylor, "PLAN_BYTES", 60_000)
-    taylor._plans.clear()
+    monkeypatch.setattr(engine, "PLAN_BYTES", 60_000)
+    engine._plans.clear()
     cached = set()
     shapes = [(2, n, m, 1) for n in range(2, 19) for m in (2, 4, 6)]
     shapes += [(d, n, m, 1) for d, n, m in PLAN_SHAPES] + STACK_SHAPES
     for d, n, m, nb in shapes:
         m = min(m, n)
-        taylor._ryser_stack(np.stack([_array(d, n, n + b) for b in range(nb)]), m)
-        kept = list(taylor._plans.values())
-        assert sum(size for _, size in kept) <= taylor.PLAN_BYTES
+        engine._ryser_stack(np.stack([_array(d, n, n + b) for b in range(nb)]), m)
+        kept = list(engine._plans.values())
+        assert sum(size for _, size in kept) <= engine.PLAN_BYTES
         for program, size in kept:
             held = _held_arrays(program)
             assert sum(owner.nbytes for owner, _ in held) == size
@@ -328,27 +328,27 @@ def test_plans_stay_within_their_budget(monkeypatch):
             assert all(sum(x.nbytes for x in views) == owner.nbytes for owner, views in held)
             assert not any(x.flags.writeable for owner, views in held for x in [owner, *views])
         # a program that fits is the most recently used one
-        newest = next(reversed(taylor._plans))
-        if any(key[1:4] == (d, n, m) and key[-1] == nb for key in taylor._plans):
+        newest = next(reversed(engine._plans))
+        if any(key[1:4] == (d, n, m) and key[-1] == nb for key in engine._plans):
             assert newest[1:4] == (d, n, m) and newest[-1] == nb
             cached.add(newest)
     # the programs for n = 18, m = 6 exceed the budget; many smaller ones were evicted
-    assert all(key[1:4] != (2, 18, 6) for key in taylor._plans)
-    assert len(taylor._plans) < len(cached)
+    assert all(key[1:4] != (2, 18, 6) for key in engine._plans)
+    assert len(engine._plans) < len(cached)
 
 
 def test_programs_above_the_budget_are_not_kept():
     # d = 5, n = 4, m = 4 takes 261 MB of pattern weights: compiled block by block
-    taylor._plans.clear()
+    engine._plans.clear()
     t = _array(5, 4, 5)
-    want = _bits(_ryser_sums(t, 4))
-    assert not taylor._plans
-    size, _ = taylor._program_bytes(5, 4, 4, [_block_sizes(4, 15, u) for u in range(5)], 1)
+    want = _bits(_lone_sums(t, 4))
+    assert not engine._plans
+    size, _ = engine._program_bytes(5, 4, 4, [_block_sizes(4, 15, u) for u in range(5)], 1)
     assert size > 200e6
-    assert _bits(_ryser_sums(t, 4)) == want
+    assert _bits(_lone_sums(t, 4)) == want
     # a shape that fits is kept
-    _ryser_sums(t[:3, :3, :3, :3, :3], 2)
-    assert [key[1:4] for key in taylor._plans] == [(5, 3, 2)]
+    _lone_sums(t[:3, :3, :3, :3, :3], 2)
+    assert [key[1:4] for key in engine._plans] == [(5, 3, 2)]
 
 
 def test_threads_share_plans_bit_for_bit():
@@ -362,7 +362,7 @@ def test_threads_share_plans_bit_for_bit():
         for _ in range(3):
             got[i].append(_plan_sums(shapes[i:] + shapes[:i]))
 
-    taylor._plans.clear()
+    engine._plans.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -388,7 +388,7 @@ def test_plan_dtype_boundaries_match_small_principal_permanents(n):
     a = _array(2, n, n)
     diag = np.diag(a)
     pairs = (diag.sum() ** 2 - (diag**2).sum()) / 2 + ((a * a.T).sum() - (diag**2).sum()) / 2
-    c = _ryser_sums(a, 2)
+    c = _lone_sums(a, 2)
     assert _close(c[1], diag.sum()) and _close(c[2], pairs)
 
 
@@ -396,7 +396,7 @@ def test_plan_rows_widen_before_the_tensor_stride():
     # d = 3, n = 16: the walk's rows are uint8, the stride (n + 1)^2 = 289 does not fit
     n = 16
     t = _array(3, n, 16)
-    c = _ryser_sums(t, 2)
+    c = _lone_sums(t, 2)
     assert _close(c[1], sum(t[i, i, i] for i in range(n)))
     pairs = sum(
         permanent_tensor(principal_subtensor(t, s)) for s in itertools.combinations(range(n), 2)
@@ -411,9 +411,9 @@ def test_block_outside_the_array_raises(monkeypatch, d):
         yield np.zeros((0, 1), dtype=np.intp), None
         yield np.array([[n]]), np.zeros(1, dtype=np.intp)
 
-    monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
+    monkeypatch.setattr(engine, "_co_subset_blocks", walk)
     with pytest.raises(IndexError):
-        _ryser_sums(_array(d, 4, 1), 2)
+        _lone_sums(_array(d, 4, 1), 2)
 
 
 def test_top_order_e1_keeps_the_recurrences_running_sum():
@@ -440,7 +440,7 @@ def test_top_order_e1_keeps_the_recurrences_running_sum():
     running = 0j
     for x in diag:
         running += x
-    assert _bits(_ryser_sums(np.diag(diag), 1)[1:]) == _bits([running])
+    assert _bits(_lone_sums(np.diag(diag), 1)[1:]) == _bits([running])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -450,25 +450,48 @@ def test_compiled_position_outside_its_array_raises(monkeypatch, d):
         yield np.zeros((0, 1), dtype=np.uint8), None
         yield np.array([[n + 1]], dtype=np.uint8), np.zeros(1, dtype=np.intp)
 
-    monkeypatch.setattr(taylor, "_checked_walk", walk)
-    taylor._plans.clear()
+    monkeypatch.setattr(engine, "_checked_walk", walk)
+    engine._plans.clear()
     with pytest.raises(IndexError, match="compiled position"):
-        _ryser_sums(_array(d, 4, 1), 2)
-    assert not any(key[1:4] == (d, 4, 2) for key in taylor._plans)
+        _lone_sums(_array(d, 4, 1), 2)
+    assert not any(key[1:4] == (d, 4, 2) for key in engine._plans)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_cached_plan_does_not_hide_a_replaced_walk(monkeypatch, d):
     a = _array(d, 4, 1)
-    _ryser_sums(a, 2)
+    _lone_sums(a, 2)
 
     def walk(n, m, caps):
         yield np.zeros((0, 1), dtype=np.intp), None
         yield np.array([[n - 1]]), np.ones(1, dtype=np.intp)  # no parent 1 at size 0
 
-    monkeypatch.setattr(taylor, "_co_subset_blocks", walk)
+    monkeypatch.setattr(engine, "_co_subset_blocks", walk)
     with pytest.raises(IndexError):
-        _ryser_sums(a, 2)
+        _lone_sums(a, 2)
+
+
+
+def _fixed_point_free(k, d):
+    """Tuples of d - 1 permutations of range(k) with no row that every one of them fixes."""
+    return sum((-1) ** j * math.comb(k, j) * math.factorial(k - j) ** (d - 1) for j in range(k + 1))
+
+
+# closed forms at sizes beyond every oracle's cap: every term of the engine's sums is
+# an integer below 2^53, so the sums are exact in any summation order and on any CPU
+@pytest.mark.parametrize("n,m", [(100, 3), (100, 4), (300, 3)])
+def test_j_minus_i_gives_binomials_times_derangements(n, m):
+    a = np.ones((n, n), dtype=complex) - np.eye(n)
+    want = [math.comb(n, k) * _fixed_point_free(k, 2) for k in range(m + 1)]
+    assert engine.minor_sums(a[None], m)[0].tolist() == want
+
+
+@pytest.mark.parametrize("d,n", [(3, 7), (3, 8), (4, 5)])
+def test_ones_tensor_with_zero_diagonal_gives_its_closed_form(d, n):
+    t = np.ones((n,) * d, dtype=complex)
+    t[(np.arange(n),) * d] = 0.0
+    want = [math.comb(n, k) * _fixed_point_free(k, d) for k in range(n + 1)]
+    assert engine.minor_sums(t[None], n)[0].tolist() == want
 
 
 def _block_diagonal(blocks):
@@ -488,14 +511,14 @@ def _block_diagonal(blocks):
 def test_batched_components_match_lone_calls_bit_for_bit(monkeypatch, d, size, split):
     blocks = [_array(d, size, 90 + i) for i in range(sum(split))]
     m = min(6, size)
-    engine, passes = taylor._ryser_stack, []
+    one_pass, passes = engine._ryser_stack, []
 
     def spy(stack, order):
-        rows = engine(stack, order)
+        rows = one_pass(stack, order)
         passes.append((stack.copy(), order, rows.copy()))
         return rows
 
-    monkeypatch.setattr(taylor, "_ryser_stack", spy)
+    monkeypatch.setattr(engine, "_ryser_stack", spy)
     sums, sizes = taylor._minor_sums(_block_diagonal(blocks), m, WORK_CAP)
     assert sizes == (size,) * len(blocks)
     assert [len(stack) for stack, _, _ in passes] == split
@@ -503,7 +526,7 @@ def test_batched_components_match_lone_calls_bit_for_bit(monkeypatch, d, size, s
     for stack, order, rows in passes:
         for b in range(len(stack)):
             assert np.array_equal(stack[b], blocks[len(lone)])
-            lone.append(engine(stack[b][None], order)[0])
+            lone.append(one_pass(stack[b][None], order)[0])
             assert _bits(rows[b]) == _bits(lone[-1])
     # the polynomials multiply in component order, as lone calls would
     want = [complex(1.0)] + [complex(0.0)] * m
