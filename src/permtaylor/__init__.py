@@ -12,7 +12,6 @@ from .core import (
     SizeCapError,
     as_matrix,
     as_tensor,
-    identity_matrix,
     identity_tensor,
     json_dumps,
     matrix_from_json,
@@ -30,11 +29,9 @@ from .dominance import (
 )
 from .exact import (
     exact_log_permanent,
-    permanent_definitional,
     permanent_ryser,
     permanent_tensor,
     permanent_tensor_slice_expansion,
-    principal_submatrix,
     principal_subtensor,
 )
 from .hypergraph import (
@@ -87,7 +84,6 @@ __all__ = [
     "enumerate_matchings",
     "exact_log_permanent",
     "hypergraph_from_json",
-    "identity_matrix",
     "identity_tensor",
     "json_dumps",
     "log_derivatives",
@@ -98,11 +94,9 @@ __all__ = [
     "normalize_base_matching",
     "perm_poly_derivs",
     "perm_poly_derivs_tensor",
-    "permanent_definitional",
     "permanent_ryser",
     "permanent_tensor",
     "permanent_tensor_slice_expansion",
-    "principal_submatrix",
     "principal_subtensor",
     "taylor_tail_bound",
     "tensor_from_json",

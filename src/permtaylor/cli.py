@@ -38,7 +38,6 @@ from .dominance import check_dominance_tensor, diagonal_normal_form
 from .exact import permanent_ryser, permanent_tensor
 from .generators import (
     block_extremal_matrix,
-    random_admissible_matrix,
     random_admissible_tensor,
     random_dominant_matrix,
     random_hypergraph,
@@ -196,7 +195,7 @@ def _cmd_gen(args) -> dict:
         sign = 1 if args.sign == "plus" else -1
         return matrix_to_json(block_extremal_matrix(args.n, args.lam, sign))
     if args.kind == "matrix":
-        return matrix_to_json(random_admissible_matrix(args.n, args.lam, rng))
+        return matrix_to_json(random_admissible_tensor(2, args.n, args.lam, rng))
     if args.kind == "tensor":
         return tensor_to_json(random_admissible_tensor(args.d, args.n, args.lam, rng))
     if args.kind == "dominant":

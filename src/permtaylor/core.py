@@ -90,10 +90,6 @@ def as_tensor(a) -> np.ndarray:
     return arr
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    return identity_tensor(2, n)
-
-
 def identity_tensor(d: int, n: int) -> np.ndarray:
     """Cubical tensor with ones on the diagonal entries (i, ..., i)."""
     check_sizes(d, n)

@@ -19,6 +19,7 @@ introduce spurious winding jumps across families of inputs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ class DominanceReport:
     form: DominanceForm
 
     def to_json(self) -> dict:
+        require_finite(self)
         return {
             "row_sums": list(self.row_sums),
             "effective_lambda": self.effective_lambda,
@@ -79,9 +81,23 @@ def _report(sums: np.ndarray, form: DominanceForm) -> DominanceReport:
 
 
 def _slice_sums(arr: np.ndarray) -> np.ndarray:
-    """l1 mass of each axis-0 slice of an n^d array (n = 0 included)."""
+    """l1 mass of each axis-0 slice of an n^d array (n = 0 included).
+
+    A mass beyond float64 is inf, which is inadmissible; require_finite
+    names it where a report's figures are used.
+    """
     n = arr.shape[0]
-    return np.abs(arr).reshape(n, n ** (arr.ndim - 1)).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return np.abs(arr).reshape(n, n ** (arr.ndim - 1)).sum(axis=1)
+
+
+def require_finite(report: DominanceReport) -> DominanceReport:
+    """The report, or ValueError naming the first slice whose mass overflows."""
+    bad = [i for i, s in enumerate(report.row_sums) if not math.isfinite(s)]
+    if bad:
+        relative = "relative " if report.form is DominanceForm.GENERAL_B else ""
+        raise ValueError(f"the {relative}l1 mass of axis-0 slice {bad[0]} overflows float64")
+    return report
 
 
 def check_dominance_matrix(a) -> DominanceReport:
@@ -124,8 +140,10 @@ def diagonal_normal_form(b) -> NormalizedProblem:
     zeros = np.flatnonzero(diag == 0)
     if zeros.size:
         raise SingularScalingError(f"diagonal entry {zeros[0]} is zero")
-    scale = np.abs(diag)
-    a = arr / diag.reshape((n,) + (1,) * (arr.ndim - 1))
-    a[diagonal_index(arr.ndim, n)] = 0.0
-    report = _report((_slice_sums(arr) - scale) / scale, DominanceForm.GENERAL_B)
+    # a quotient beyond float64 shows as a non-finite mass in the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(diag)
+        a = arr / diag.reshape((n,) + (1,) * (arr.ndim - 1))
+        a[diagonal_index(arr.ndim, n)] = 0.0
+        report = _report((_slice_sums(arr) - scale) / scale, DominanceForm.GENERAL_B)
     return NormalizedProblem(a, complex(np.sum(np.log(diag))), report)

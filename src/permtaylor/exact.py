@@ -6,10 +6,11 @@ permanent generalizes this to a sum over (d-1)-tuples of permutations:
     PER A = sum_{s2, ..., sd} prod_i a[i, s2(i), ..., sd(i)]
 
 Both are exponential-cost oracles and are guarded by explicit caps that
-fail fast instead of hanging. Three routes are provided for cross-checks:
-full permutation enumeration, Ryser inclusion-exclusion (matrices), and
-the cofactor-style slice expansion (tensors). All summation orders are
-fixed and compensated, so repeated runs are bit-identical.
+fail fast instead of hanging. Three routes are provided for cross-checks,
+each with one entry point and one cap: Ryser inclusion-exclusion
+(matrices), full permutation enumeration and the cofactor-style slice
+expansion (matrices and tensors). All summation orders are fixed and
+compensated, so repeated runs are bit-identical.
 
 The permanent of the empty (0x0 or 0x...x0) array is 1 by convention.
 """
@@ -26,7 +27,6 @@ import numpy as np
 from .core import SizeCapError, _is_int, as_matrix, as_tensor, diagonal_index
 from .summation import ComplexNeumaier
 
-DEFINITIONAL_CAP = 10
 RYSER_CAP = 30
 TENSOR_PRODUCT_CAP = 10**8
 BRANCH_STEPS = 64
@@ -100,29 +100,20 @@ def _tensor_core(nested, n: int, d: int) -> complex:
     return acc.value()
 
 
-def permanent_definitional(a, max_n: int = DEFINITIONAL_CAP) -> complex:
-    """Permanent by full permutation enumeration; factorial cost."""
+def permanent_ryser(a) -> complex:
+    """Permanent by Ryser inclusion-exclusion, O(n 2^n), for n <= RYSER_CAP."""
     arr = as_matrix(a)
     n = arr.shape[0]
-    if n > max_n:
-        raise SizeCapError(f"definitional permanent capped at n <= {max_n}, got n = {n}")
-    return _tensor_core(arr.tolist(), n, 2)
-
-
-def permanent_ryser(a, max_n: int = RYSER_CAP) -> complex:
-    """Permanent by Ryser inclusion-exclusion, O(n 2^n)."""
-    arr = as_matrix(a)
-    n = arr.shape[0]
-    if n > max_n:
-        raise SizeCapError(f"Ryser permanent capped at n <= {max_n}, got n = {n}")
+    if n > RYSER_CAP:
+        raise SizeCapError(f"Ryser permanent capped at n <= {RYSER_CAP}, got n = {n}")
     return _ryser_core(arr.tolist())
 
 
 def permanent_tensor(t, product_cap: int = TENSOR_PRODUCT_CAP) -> complex:
-    """Tensor permanent by enumeration of permutation tuples.
+    """Permanent of a matrix or tensor by enumeration of permutation tuples.
 
-    Requires (n!)^(d-1) <= product_cap; for d = 2 this agrees with
-    permanent_definitional term by term.
+    Requires (n!)^(d-1) <= product_cap; a matrix (d = 2) streams its n!
+    permutations.
     """
     arr = as_tensor(t)
     d, n = arr.ndim, arr.shape[0]
@@ -213,16 +204,12 @@ def exact_log_permanent(
         raise ValueError(f"steps must be an int >= 1, got {steps!r}")
     arr = as_tensor(a)
     d, n = arr.ndim, arr.shape[0]
-    if d == 2 and n > RYSER_CAP:
-        raise SizeCapError(f"Ryser permanent capped at n <= {RYSER_CAP}, got n = {n}")
-    if d > 2 and math.factorial(n) ** (d - 1) > product_cap:
-        raise SizeCapError("tensor too large for branch tracking")
     diag = diagonal_index(d, n)
 
     def value_at(z: float) -> complex:
         scaled = z * arr
         scaled[diag] += 1.0
-        return _ryser_core(scaled.tolist()) if d == 2 else _tensor_core(scaled.tolist(), n, d)
+        return permanent_ryser(scaled) if d == 2 else permanent_tensor(scaled, product_cap)
 
     def log_step(z0: float, v0: complex, z1: float, v1: complex, halvings: int) -> complex:
         if v1 == 0:
@@ -245,13 +232,8 @@ def exact_log_permanent(
     return total
 
 
-def principal_submatrix(a, subset: Sequence[int]) -> np.ndarray:
-    """Submatrix of the rows and columns indexed by `subset`."""
-    return principal_subtensor(as_matrix(a), subset)
-
-
 def principal_subtensor(t, subset: Sequence[int]) -> np.ndarray:
-    """Subtensor with every axis restricted to the indices in `subset`."""
+    """Subarray of a matrix or tensor with every axis restricted to `subset`."""
     arr = as_tensor(t)
     s = check_subset(subset, arr.shape[0])
     idx = np.asarray(s, dtype=np.intp)

@@ -29,17 +29,11 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_admissible_matrix(
-    n: int, lam: float, rng: np.random.Generator, zero_diag: bool = False
-) -> np.ndarray:
-    """Random complex matrix with every row sum in [0.8, 0.999] * lam."""
-    return random_admissible_tensor(2, n, lam, rng, zero_diag)
-
-
 def random_admissible_tensor(
     d: int, n: int, lam: float, rng: np.random.Generator, zero_diag: bool = False
 ) -> np.ndarray:
-    """Random complex tensor with every axis-0 slice mass in [0.8, 0.999] * lam."""
+    """Random complex matrix (d = 2) or tensor with every axis-0 slice mass
+    in [0.8, 0.999] * lam."""
     if zero_diag and n < 2:
         raise ValueError("a zero-diagonal array needs n >= 2 to carry any mass")
     t = _complex_normal(rng, (n,) * d)

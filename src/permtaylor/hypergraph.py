@@ -239,16 +239,25 @@ def matching_stats(
             f"dense encoding of the hypergraph needs n^d = {h.n}^{h.d} tensor entries, "
             f"cap is {work_cap}"
         )
+
+    def too_large() -> InadmissibleInputError:
+        return InadmissibleInputError(
+            f"lam = {lam} is too large: lam^2 (Delta - 1) = "
+            f"{lam * lam * (delta - 1):.6g} must be below 1"
+        )
+
     t = encode_tensor(h)
     t[diagonal_index(h.d, h.n)] = 0.0
-    t *= lam * lam
+    # with M0's edges alone t stays zero at any lam; otherwise a lam^2 beyond
+    # float64 would weight the zero entries by 0 * inf
+    if delta > 1:
+        if math.isinf(lam * lam):
+            raise too_large()
+        t *= lam * lam
     try:
         taylor = approx_log_permanent(t, ApproxConfig(None, epsilon), work_cap=work_cap)
     except InadmissibleInputError:
-        raise InadmissibleInputError(
-            f"lam = {lam} is too large: lam^2 (Delta - 1) = "
-            f"{lam * lam * (delta - 1):.6g} must be below 1"
-        ) from None
+        raise too_large() from None
     return MatchingStatsResult(
         lam=lam,
         value=cmath.exp(taylor.value),

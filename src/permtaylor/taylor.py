@@ -26,6 +26,7 @@ which is kept honest by explicit work caps instead of silent truncation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .core import (
     as_tensor,
     pair,
 )
-from .dominance import check_dominance_tensor, require_admissible
+from .dominance import check_dominance_tensor, require_admissible, require_finite
 from .engine import minor_sum_work, minor_sums
 from .summation import ComplexNeumaier
 
@@ -209,7 +210,9 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
     keeps lower orders a bit-exact prefix of higher ones. A single
     component runs the engine on arr itself, whose sums keep a -0.0 that
     the product would turn into +0.0. The sizes n_C come in order of each
-    component's smallest vertex.
+    component's smallest vertex. A sum beyond float64 raises ValueError,
+    which names it; the engine's own overflow warnings are silenced, since
+    an overflow in any step leaves some sum non-finite.
     """
     d = arr.ndim
     reduced, groups = _components(arr)
@@ -218,12 +221,24 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
     work = sum(minor_sum_work(size, d, k) for size, k in zip(sizes, orders))
     if work > work_cap:
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
-    if len(groups) == 1:
-        return [complex(c) for c in minor_sums(arr[None], m)[0]], sizes
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(groups) == 1:
+            sums = [complex(c) for c in minor_sums(arr[None], m)[0]]
+        else:
+            sums = _component_product(reduced, groups, orders, m)
+    for k, c in enumerate(sums):
+        if not cmath.isfinite(c):
+            raise ValueError(f"minor sum c_{k} overflows float64")
+    return sums, sizes
+
+
+def _component_product(reduced: np.ndarray, groups, orders, m: int) -> list[complex]:
+    """Coefficients 0..m of the product of the components' polynomials."""
+    d = reduced.ndim
     # component indices by size; with m fixed, the size also fixes the order
     by_size: dict[int, list[int]] = {}
-    for c, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(c)
+    for c, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(c)
     parts = [None] * len(groups)
     for size, members in by_size.items():
         stack = np.stack([reduced[np.ix_(*(groups[c],) * d)] for c in members])
@@ -232,7 +247,7 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
     sums = [complex(1.0)] + [complex(0.0)] * m
     for c, k in zip(parts, orders):
         sums = [sum(c[j] * sums[i - j] for j in range(min(i, k) + 1)) for i in range(m + 1)]
-    return sums, sizes
+    return sums
 
 
 def _nonempty_tensor(a) -> np.ndarray:
@@ -249,6 +264,7 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     Each is k! times the sum of permanents of the k x k principal
     subarrays; A may be a matrix or a cubical tensor (PER of principal
     subtensors). m must be an int in [0, n], the polynomial's degree.
+    A minor sum or derivative beyond float64 raises ValueError.
     `threads` is accepted for compatibility and has no effect.
     """
     if not _is_int(m):
@@ -258,7 +274,11 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     if not 0 <= m <= n:
         raise ValueError(f"order m = {m} must lie in [0, {n}], the polynomial degree")
     sums, _ = _minor_sums(arr, m, work_cap)
-    return [math.factorial(k) * sums[k] for k in range(m + 1)]
+    derivs = [math.factorial(k) * sums[k] for k in range(m + 1)]
+    for k, g in enumerate(derivs):
+        if not cmath.isfinite(g):
+            raise ValueError(f"derivative g^({k})(0) = {k}! c_{k} overflows float64")
+    return derivs
 
 
 perm_poly_derivs_tensor = perm_poly_derivs
@@ -362,7 +382,7 @@ def zero_scan(
             f"cap is {work_cap}"
         )
     if radius is None:
-        lam = check_dominance_tensor(arr).effective_lambda
+        lam = require_finite(check_dominance_tensor(arr)).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0
     sums, _ = _minor_sums(arr, arr.shape[0], work_cap)
     radii = np.linspace(0.0, radius, radial)

@@ -2,7 +2,7 @@
 with its runtime (run with `pytest tests/test_acceptance.py -v -s`).
 
 Every expected value is produced by an independent oracle computed here:
-the definitional permutation sum, brute-force matching enumeration,
+the permutation-sum enumeration, brute-force matching enumeration,
 analytic power sums, the block closed form, or branch-tracked exact logs.
 """
 
@@ -22,7 +22,6 @@ from permtaylor import (
     log_derivatives,
     matching_stats,
     encode_tensor,
-    permanent_definitional,
     permanent_ryser,
     permanent_tensor,
     permanent_tensor_slice_expansion,
@@ -30,7 +29,6 @@ from permtaylor import (
 )
 from permtaylor.generators import (
     block_extremal_matrix,
-    random_admissible_matrix,
     random_admissible_tensor,
     random_hypergraph,
 )
@@ -56,11 +54,11 @@ def test_criterion_1_matrix_oracle_equivalence():
     for i in range(200):
         n = 2 + i % 6  # cycles through 2..7
         m = _rand_complex(rng, (n, n))
-        d = permanent_definitional(m)
+        d = permanent_tensor(m)
         r = permanent_ryser(m)
         assert abs(r - d) <= 1e-10 * abs(d), (n, i)
         checks += 1
-    elapsed = _report(1, "Ryser vs definitional", start, checks)
+    elapsed = _report(1, "Ryser vs enumeration", start, checks)
     assert elapsed < 10.0
 
 
@@ -89,7 +87,7 @@ def test_criterion_3_matrix_error_bound():
     cfg = ApproxConfig(lam=0.5, epsilon=0.01, order_override=m_order)
     checks = 0
     for _ in range(100):
-        a = random_admissible_matrix(10, 0.5, rng)
+        a = random_admissible_tensor(2, 10, 0.5, rng)
         assert max(np.abs(a).sum(axis=1)) <= 0.5
         res = approx_log_permanent(a, cfg)
         ref = exact_log_permanent(a)
@@ -137,7 +135,7 @@ def test_criterion_6_zero_free_scan():
     checks = 0
     for i in range(500):
         n = 2 + i % 7  # cycles through 2..8
-        a = random_admissible_matrix(n, 0.5, rng)
+        a = random_admissible_tensor(2, n, 0.5, rng)
         rep = zero_scan(a, radial=64, angular=64)
         assert rep.min_modulus > 0.0, (n, i)
         checks += 1

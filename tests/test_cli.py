@@ -250,8 +250,8 @@ def test_gen_tensor_rejects_dimensions_below_two(cli, d):
     assert out == "" and err == 'error: "d" must be an integer >= 2\n'
 
 
-ARRAY_GENERATORS = ["block_extremal_matrix", "random_admissible_matrix",
-                    "random_admissible_tensor", "random_dominant_matrix"]
+ARRAY_GENERATORS = ["block_extremal_matrix", "random_admissible_tensor",
+                    "random_dominant_matrix"]
 
 
 @pytest.mark.parametrize("kind, size, entries", [
@@ -280,7 +280,7 @@ def test_memory_error_exits_3_with_one_line(monkeypatch, capsys, message, line):
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli_module, "random_admissible_matrix", exhausted)
+    monkeypatch.setattr(cli_module, "random_admissible_tensor", exhausted)
     assert cli_module.run(["gen", "matrix", "--n", "31622"]) == 3
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
@@ -429,6 +429,49 @@ def test_zero_scan_rejects_a_radius_that_overflows(tmp_path, capsys):
     # a large radius whose values stay finite still scans
     assert cli_module.run(["zero-scan", "--grid", "2x2", "--radius", "1e30", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["radius"] == 1e30
+
+
+# finite entries whose slice masses or minor sums overflow float64
+OVERFLOWING = {
+    "mass": {"n": 2, "entries": [[1e308, 0], [1e308, 0], [0, 0], [0, 0]]},
+    "minors": {"n": 2, "entries": [[1e200, 0]] * 4},
+}
+
+
+@pytest.mark.parametrize("instance, argv, code, line", [
+    ("mass", ["zero-scan", "--grid", "2x2"], 1,
+     "the l1 mass of axis-0 slice 0 overflows float64"),
+    ("mass", ["dominance"], 1, "the l1 mass of axis-0 slice 0 overflows float64"),
+    ("mass", ["approx"], 2, "input is not admissible (effective lambda inf >= 1)"),
+    ("minors", ["zero-scan", "--grid", "2x2"], 1, "minor sum c_2 overflows float64"),
+    ("minors", ["zero-scan", "--grid", "2x2", "--radius", "1"], 1,
+     "minor sum c_2 overflows float64"),
+], ids=["mass-zero-scan", "mass-dominance", "mass-approx", "minors-zero-scan",
+        "minors-zero-scan-radius"])
+def test_overflowing_sums_end_in_one_error_line(tmp_path, capsys, instance, argv, code, line):
+    # with warnings as errors, an overflow warning that leaked would fail the call
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(OVERFLOWING[instance]))
+    assert cli_module.run([*argv, str(path)]) == code
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_dominance_scaled_names_an_overflowing_relative_mass(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1e-300, 0], [1e10, 0], [1e10, 0], [1, 0]]}))
+    assert cli_module.run(["dominance", "--scaled", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the relative l1 mass of axis-0 slice 0 overflows float64\n"
+    )
+
+
+def test_perm_poly_derivs_names_the_sum_that_overflows():
+    with pytest.raises(ValueError, match="^minor sum c_2 overflows float64$"):
+        taylor.perm_poly_derivs(np.full((3, 3), 1e200), 3)
+    # three 1 x 1 components: c_3 = x^3 is finite, g^(3)(0) = 6 x^3 is not
+    x = 1e308 ** (1 / 3)
+    with pytest.raises(ValueError, match=r"^derivative g\^\(3\)\(0\) = 3! c_3 overflows"):
+        taylor.perm_poly_derivs(np.diag([x, x, x]), 3)
 
 
 def test_matching_stats_charges_the_dense_encoding(tmp_path, monkeypatch, capsys):

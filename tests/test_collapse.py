@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from permtaylor import collapse, permanent_ryser
-from permtaylor.generators import random_admissible_matrix
+from permtaylor.generators import random_admissible_tensor
 
 
 def _rand_complex(rng, n):
@@ -71,7 +71,7 @@ def test_cofactor_collapse_preserves_permanent():
     # per(I + A) = per (I+A)_00 + sum_j a_0j per (I+A)_0j stays fixed
     rng = np.random.default_rng(63)
     n = 5
-    a = random_admissible_matrix(n, 0.6, rng, zero_diag=True)
+    a = random_admissible_tensor(2, n, 0.6, rng, zero_diag=True)
     full = np.eye(n) + a
     alphas = np.zeros(n, dtype=complex)
     for j in range(1, n):

@@ -18,7 +18,6 @@ from permtaylor import (
     perm_poly_derivs,
     permanent_ryser,
     permanent_tensor,
-    principal_submatrix,
     principal_subtensor,
     zero_scan,
 )
@@ -34,7 +33,7 @@ def _oracle_sums(a):
         total = 0j
         for s in itertools.combinations(range(n), k):
             if d == 2:
-                total += permanent_ryser(principal_submatrix(a, s))
+                total += permanent_ryser(principal_subtensor(a, s))
             else:
                 total += permanent_tensor(principal_subtensor(a, s))
         sums.append(total)

@@ -8,7 +8,6 @@ from permtaylor import (
     ApproxConfig,
     approx_log_permanent,
     hypergraph_from_json,
-    identity_matrix,
     identity_tensor,
     json_dumps,
     matrix_from_json,
@@ -18,19 +17,11 @@ from permtaylor import (
     zero_scan,
 )
 from permtaylor.core import _checked_entries, _entries_from_json
-from permtaylor.generators import random_admissible_matrix
-
-
-def test_identity_matrix_small():
-    assert identity_matrix(1).tolist() == [[1]]
-    assert identity_matrix(2).tolist() == [[1, 0], [0, 1]]
-    m3 = identity_matrix(3)
-    assert m3.shape == (3, 3)
-    assert np.array_equal(m3, np.eye(3))
+from permtaylor.generators import random_admissible_tensor
 
 
 def test_identity_tensor_examples():
-    assert np.array_equal(identity_tensor(2, 2), identity_matrix(2))
+    assert identity_tensor(2, 2).tolist() == [[1, 0], [0, 1]]
     t = identity_tensor(3, 1)
     assert t.shape == (1, 1, 1) and t[0, 0, 0] == 1
     t2 = identity_tensor(3, 2)
@@ -40,12 +31,12 @@ def test_identity_tensor_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_identity_tensor_matches_matrix(n):
-    assert np.array_equal(identity_tensor(2, n), identity_matrix(n))
+    assert np.array_equal(identity_tensor(2, n), np.eye(n))
 
 
 def test_identity_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        identity_matrix(0)
+        identity_tensor(2, 0)
     with pytest.raises(ValueError):
         identity_tensor(1, 3)
     with pytest.raises(ValueError, match=N_MESSAGE):
@@ -142,7 +133,7 @@ def _floats_one_by_one(obj):
 
 
 def test_json_dumps_float_lists_match_item_rendering():
-    a = random_admissible_matrix(6, 0.5, np.random.default_rng(3))
+    a = random_admissible_tensor(2, 6, 0.5, np.random.default_rng(3))
     docs = [
         zero_scan(a).to_json(),
         approx_log_permanent(a, ApproxConfig(lam=0.5, epsilon=0.01)).to_json(),

@@ -13,7 +13,6 @@ from permtaylor import (
 )
 from permtaylor.generators import (
     block_extremal_matrix,
-    random_admissible_matrix,
     random_admissible_tensor,
     random_dominant_matrix,
 )
@@ -67,7 +66,7 @@ def test_normalize_diagonal_matrix():
 
 def test_normalize_scaled_shift():
     rng = np.random.default_rng(21)
-    a0 = random_admissible_matrix(5, 0.6, rng, zero_diag=True)
+    a0 = random_admissible_tensor(2, 5, 0.6, rng, zero_diag=True)
     b = 2.0 * (np.eye(5) + a0)
     prob = diagonal_normal_form(b)
     assert np.allclose(prob.a, a0, atol=1e-14)
@@ -115,7 +114,7 @@ def test_normalize_reports_violated_dominance():
 
 def test_strip_zero_diagonal_is_identity():
     rng = np.random.default_rng(23)
-    a = random_admissible_matrix(4, 0.5, rng, zero_diag=True)
+    a = random_admissible_tensor(2, 4, 0.5, rng, zero_diag=True)
     prob = diagonal_normal_form(np.eye(4) + a)
     assert prob.log_prefactor == 0
     assert np.array_equal(prob.a, a)
@@ -131,7 +130,7 @@ def test_strip_diagonal_only_matrix():
 def test_strip_preserves_permanent_matrix():
     rng = np.random.default_rng(24)
     for n in (4, 6, 7):
-        a = random_admissible_matrix(n, 0.7, rng)
+        a = random_admissible_tensor(2, n, 0.7, rng)
         prob = diagonal_normal_form(np.eye(n) + a)
         lhs = np.exp(prob.log_prefactor) * permanent_ryser(np.eye(n) + prob.a)
         rhs = permanent_ryser(np.eye(n) + a)
@@ -154,7 +153,7 @@ def test_strip_preserves_permanent_tensor():
 def test_strip_output_stays_admissible():
     rng = np.random.default_rng(26)
     for _ in range(20):
-        a = random_admissible_matrix(5, 0.95, rng)
+        a = random_admissible_tensor(2, 5, 0.95, rng)
         prob = diagonal_normal_form(np.eye(5) + a)
         assert prob.report.admissible
         assert prob.report.effective_lambda < 1.0
@@ -190,6 +189,6 @@ def test_report_json_schema():
 def test_zero_diagonal_generators_need_two_rows():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="n >= 2"):
-        random_admissible_matrix(1, 0.5, rng, zero_diag=True)
+        random_admissible_tensor(2, 1, 0.5, rng, zero_diag=True)
     with pytest.raises(ValueError, match="n >= 2"):
         random_admissible_tensor(3, 1, 0.5, rng, zero_diag=True)

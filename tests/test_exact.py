@@ -1,8 +1,10 @@
 """Cross-checks between the exact permanent engines.
 
-The definitional permutation sum is the ground truth; Ryser and the slice
-expansion must agree with it on their overlapping domains, and the known
-closed forms (identity, all-ones, 2x2 blocks) pin absolute values.
+Ryser's inclusion-exclusion, the permutation-tuple enumeration
+(permanent_tensor, matrices included) and the slice expansion must agree
+on their overlapping domains; Ryser and the enumeration share no code.
+The known closed forms (identity, all-ones, 2x2 blocks) pin absolute
+values.
 """
 
 import numpy as np
@@ -12,13 +14,10 @@ from permtaylor import (
     SizeCapError,
     exact,
     exact_log_permanent,
-    identity_matrix,
     identity_tensor,
-    permanent_definitional,
     permanent_ryser,
     permanent_tensor,
     permanent_tensor_slice_expansion,
-    principal_submatrix,
     principal_subtensor,
 )
 
@@ -31,28 +30,18 @@ def test_two_by_two_closed_form():
     a, b = 0.3 - 0.7j, -1.1 + 0.2j
     m = np.array([[1, a], [b, 1]])
     want = 1 + a * b
-    assert permanent_definitional(m) == pytest.approx(want)
+    assert permanent_tensor(m) == pytest.approx(want)
     assert permanent_ryser(m) == pytest.approx(want)
 
 
 def test_identity_permanent_is_one():
-    assert permanent_definitional(identity_matrix(3)) == 1
-    assert permanent_ryser(identity_matrix(5)) == 1
+    assert permanent_tensor(identity_tensor(2, 3)) == 1
+    assert permanent_ryser(identity_tensor(2, 5)) == 1
 
 
 def test_all_ones():
-    assert permanent_definitional(np.ones((3, 3))) == pytest.approx(6.0)
+    assert permanent_tensor(np.ones((3, 3))) == pytest.approx(6.0)
     assert permanent_tensor(np.ones((3, 3, 3))) == pytest.approx(36.0)
-
-
-def test_ryser_matches_definitional():
-    rng = np.random.default_rng(101)
-    for n in range(2, 8):
-        for _ in range(4):
-            m = _rand_complex(rng, (n, n))
-            d = permanent_definitional(m)
-            r = permanent_ryser(m)
-            assert abs(r - d) <= 1e-10 * abs(d)
 
 
 def test_tensor_d2_matches_ryser():
@@ -113,8 +102,8 @@ def test_row_multilinearity():
         i = int(rng.integers(n))
         msum, mu, mv = m.copy(), m.copy(), m.copy()
         msum[i], mu[i], mv[i] = u + v, u, v
-        whole = permanent_definitional(msum)
-        parts = permanent_definitional(mu) + permanent_definitional(mv)
+        whole = permanent_tensor(msum)
+        parts = permanent_tensor(mu) + permanent_tensor(mv)
         assert abs(whole - parts) <= 1e-10 * (1 + abs(whole))
 
 
@@ -135,12 +124,12 @@ def test_block_diagonal_closed_form():
 
 def test_principal_submatrix():
     m = np.arange(9, dtype=float).reshape(3, 3) + 0j
-    assert np.array_equal(principal_submatrix(m, (0, 1, 2)), m)
-    corners = principal_submatrix(m, (0, 2))
+    assert np.array_equal(principal_subtensor(m, (0, 1, 2)), m)
+    corners = principal_subtensor(m, (0, 2))
     assert corners.tolist() == [[0, 2], [6, 8]]
-    empty = principal_submatrix(m, ())
+    empty = principal_subtensor(m, ())
     assert empty.shape == (0, 0)
-    assert permanent_definitional(empty) == 1
+    assert permanent_tensor(empty) == 1
     assert permanent_ryser(empty) == 1
 
 
@@ -154,20 +143,20 @@ def test_principal_subtensor():
 
 
 def test_subset_validation():
-    m = identity_matrix(3)
+    m = identity_tensor(2, 3)
     with pytest.raises(ValueError):
-        principal_submatrix(m, (1, 1))
+        principal_subtensor(m, (1, 1))
     with pytest.raises(ValueError):
-        principal_submatrix(m, (2, 0))
+        principal_subtensor(m, (2, 0))
     with pytest.raises(ValueError):
-        principal_submatrix(m, (0, 3))
+        principal_subtensor(m, (0, 3))
 
 
 def test_size_caps():
     with pytest.raises(SizeCapError):
-        permanent_definitional(identity_matrix(11))
-    with pytest.raises(SizeCapError):
-        permanent_ryser(identity_matrix(31))
+        permanent_ryser(identity_tensor(2, 31))
+    with pytest.raises(SizeCapError, match="479001600 products"):
+        permanent_tensor(identity_tensor(2, 12))
     with pytest.raises(SizeCapError):
         permanent_tensor(identity_tensor(3, 3), product_cap=10)
     with pytest.raises(SizeCapError):
@@ -189,4 +178,4 @@ def test_repeat_runs_are_bit_identical():
     rng = np.random.default_rng(106)
     m = _rand_complex(rng, (6, 6))
     assert permanent_ryser(m) == permanent_ryser(m)
-    assert permanent_definitional(m) == permanent_definitional(m)
+    assert permanent_tensor(m) == permanent_tensor(m)

@@ -248,6 +248,20 @@ def test_matching_stats_lambda_above_degree_bound():
     assert res.admissible
 
 
+def test_matching_stats_at_a_lambda_whose_square_overflows():
+    # lam^2 = inf: the diagonal alone still counts 1, and an extra edge is inadmissible
+    diagonal = DPartiteHypergraph(3, 3, _diag(3, 3))
+    res = matching_stats(diagonal, 1e155)
+    assert res.value == 1 and res.log_value == 0 and res.error_bound_log == 0
+    extra = DPartiteHypergraph(3, 3, _diag(3, 3) + ((0, 1, 2),))
+    with pytest.raises(InadmissibleInputError) as exc:
+        matching_stats(extra, 1e155)
+    assert str(exc.value) == "lam = 1e+155 is too large: lam^2 (Delta - 1) = inf must be below 1"
+    with pytest.raises(InadmissibleInputError) as exc:
+        matching_stats(extra, 3.0)
+    assert str(exc.value) == "lam = 3.0 is too large: lam^2 (Delta - 1) = 9 must be below 1"
+
+
 def test_matching_stats_requires_diagonal():
     h = DPartiteHypergraph(2, 2, ((0, 1), (1, 0)))
     with pytest.raises(InvalidMatchingError):

@@ -36,7 +36,6 @@ from permtaylor import (
 )
 from permtaylor.generators import (
     block_extremal_matrix,
-    random_admissible_matrix,
     random_admissible_tensor,
     random_hermitian_admissible,
 )
@@ -114,18 +113,18 @@ def test_tail_bound_strictly_decreasing():
 
 def test_poly_derivs_order_zero_and_one():
     rng = np.random.default_rng(31)
-    m = random_admissible_matrix(5, 0.5, rng)
+    m = random_admissible_tensor(2, 5, 0.5, rng)
     g = perm_poly_derivs(m, 1)
     assert g[0] == 1
     assert g[1] == pytest.approx(np.trace(m))
-    z = random_admissible_matrix(5, 0.5, rng, zero_diag=True)
+    z = random_admissible_tensor(2, 5, 0.5, rng, zero_diag=True)
     assert perm_poly_derivs(z, 1)[1] == 0
 
 
 def test_poly_derivs_match_interpolation():
     rng = np.random.default_rng(32)
     n = 6
-    m = random_admissible_matrix(n, 0.6, rng)
+    m = random_admissible_tensor(2, n, 0.6, rng)
     got = perm_poly_derivs(m, n)
     want = _interp_derivs(lambda z: permanent_ryser(np.eye(n) + z * m), n)
     for k in range(n + 1):
@@ -188,7 +187,7 @@ def test_taylor_path_rejects_the_empty_array_before_any_work(monkeypatch, call):
 
 def test_poly_derivs_threads_bit_identical():
     rng = np.random.default_rng(34)
-    m = random_admissible_matrix(8, 0.5, rng)
+    m = random_admissible_tensor(2, 8, 0.5, rng)
     assert perm_poly_derivs(m, 6, threads=1) == perm_poly_derivs(m, 6, threads=4)
 
 
@@ -229,7 +228,7 @@ def test_log_derivatives_requires_normalized_g():
 
 def test_forward_recursion_inverts_log_derivatives():
     rng = np.random.default_rng(35)
-    m = random_admissible_matrix(6, 0.5, rng)
+    m = random_admissible_tensor(2, 6, 0.5, rng)
     g = perm_poly_derivs(m, 6)
     f = log_derivatives(g)
     for k in range(1, 7):
@@ -277,7 +276,7 @@ def test_approx_within_bound_random():
     rng = np.random.default_rng(36)
     cfg = ApproxConfig(0.5, 0.01)
     for _ in range(5):
-        m = random_admissible_matrix(10, 0.5, rng)
+        m = random_admissible_tensor(2, 10, 0.5, rng)
         res = approx_log_permanent(m, cfg)
         ref = exact_log_permanent(m)
         assert abs(res.value - ref) <= res.error_bound
@@ -303,7 +302,7 @@ def test_approx_d4_tensor_within_bound():
 
 def test_approx_uses_measured_lambda_when_smaller():
     rng = np.random.default_rng(38)
-    m = random_admissible_matrix(6, 0.3, rng)
+    m = random_admissible_tensor(2, 6, 0.3, rng)
     res = approx_log_permanent(m, ApproxConfig(0.9, 0.01))
     lam_eff = max(np.abs(m).sum(axis=1))
     assert res.error_bound == taylor_tail_bound(6, lam_eff, res.order_m)
@@ -312,7 +311,7 @@ def test_approx_uses_measured_lambda_when_smaller():
 
 def test_approx_measures_lambda_when_config_lam_is_none():
     rng = np.random.default_rng(40)
-    m = random_admissible_matrix(6, 0.6, rng)
+    m = random_admissible_tensor(2, 6, 0.6, rng)
     lam_eff = max(np.abs(m).sum(axis=1))
     measured = approx_log_permanent(m, ApproxConfig(None, 0.01))
     assert measured == approx_log_permanent(m, ApproxConfig(lam_eff, 0.01))
@@ -322,7 +321,7 @@ def test_approx_measures_lambda_when_config_lam_is_none():
 
 def test_approx_rejects_lambda_above_configured():
     rng = np.random.default_rng(39)
-    m = random_admissible_matrix(6, 0.8, rng)
+    m = random_admissible_tensor(2, 6, 0.8, rng)
     with pytest.raises(InadmissibleInputError):
         approx_log_permanent(m, ApproxConfig(0.3, 0.01))
 
@@ -334,7 +333,7 @@ def test_approx_rejects_inadmissible():
 
 def test_approx_order_override():
     rng = np.random.default_rng(40)
-    m = random_admissible_matrix(6, 0.5, rng)
+    m = random_admissible_tensor(2, 6, 0.5, rng)
     res = approx_log_permanent(m, ApproxConfig(0.5, 0.01, order_override=3))
     assert res.order_m == 3
     assert len(res.g_derivs) == 4
@@ -342,7 +341,7 @@ def test_approx_order_override():
 
 def test_approx_order_beyond_degree_pads_zeros():
     rng = np.random.default_rng(41)
-    m = random_admissible_matrix(3, 0.5, rng)
+    m = random_admissible_tensor(2, 3, 0.5, rng)
     res = approx_log_permanent(m, ApproxConfig(0.5, 0.01, order_override=6))
     assert res.g_derivs[4:] == (0, 0, 0)
     ref = exact_log_permanent(m)
@@ -360,7 +359,7 @@ def test_approx_hermitian_imaginary_part_small():
 
 def test_approx_threads_bit_identical():
     rng = np.random.default_rng(43)
-    m = random_admissible_matrix(8, 0.5, rng)
+    m = random_admissible_tensor(2, 8, 0.5, rng)
     cfg = ApproxConfig(0.5, 0.01)
     r1 = approx_log_permanent(m, cfg, threads=1)
     r4 = approx_log_permanent(m, cfg, threads=4)
@@ -428,7 +427,7 @@ def test_zero_scan_finds_planted_zero():
 
 
 def test_zero_scan_checks_the_grid_before_the_minor_sums():
-    a = random_admissible_matrix(6, 0.5, np.random.default_rng(45))
+    a = random_admissible_tensor(2, 6, 0.5, np.random.default_rng(45))
     with pytest.raises(ValueError):
         zero_scan(a, radial=0, work_cap=1)
     for radius in (-2.0, 0.0, math.nan, math.inf):
@@ -438,7 +437,7 @@ def test_zero_scan_checks_the_grid_before_the_minor_sums():
 
 def test_zero_scan_admissible_is_zero_free():
     rng = np.random.default_rng(44)
-    m = random_admissible_matrix(6, 0.5, rng)
+    m = random_admissible_tensor(2, 6, 0.5, rng)
     rep = zero_scan(m)
     assert rep.min_modulus > 0
     assert rep.moduli.shape == (64, 64)
