@@ -26,6 +26,7 @@ from .dominance import (
     check_dominance_matrix,
     check_dominance_tensor,
     diagonal_normal_form,
+    scaled_lambda,
 )
 from .exact import (
     exact_log_permanent,
@@ -49,6 +50,7 @@ from .taylor import (
     ZeroScanReport,
     approx_log_permanent,
     choose_order,
+    exact_tail_bound,
     log_derivatives,
     perm_poly_derivs,
     perm_poly_derivs_tensor,
@@ -83,6 +85,7 @@ __all__ = [
     "encode_tensor",
     "enumerate_matchings",
     "exact_log_permanent",
+    "exact_tail_bound",
     "hypergraph_from_json",
     "identity_tensor",
     "json_dumps",
@@ -98,6 +101,7 @@ __all__ = [
     "permanent_tensor",
     "permanent_tensor_slice_expansion",
     "principal_subtensor",
+    "scaled_lambda",
     "taylor_tail_bound",
     "tensor_from_json",
     "tensor_to_json",

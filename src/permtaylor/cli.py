@@ -121,6 +121,9 @@ def _cmd_exact(args) -> dict:
         value = permanent_ryser(arr)
     else:
         value = permanent_tensor(arr, product_cap=args.work_cap)
+    if not np.isfinite(value):
+        name = ("per" if arr.ndim == 2 else "PER") + ("(A)" if args.raw else "(I + A)")
+        raise ValueError(f"the permanent {name} overflows float64")
     return {"permanent": pair(value)}
 
 
@@ -131,7 +134,8 @@ def _cmd_approx(args) -> dict:
     sizes = result.components
     print(
         f"n = {arr.shape[0]}, components {len(sizes)} (largest {max(sizes)}), "
-        f"order m = {result.order_m}, certified bound {result.error_bound:.3g}",
+        f"order m = {result.order_m}, certified bound {result.error_bound:.3g}, "
+        f"lambda {result.lam:.4g} (raw {result.raw_lam:.4g})",
         file=sys.stderr,
     )
     return result.to_json()

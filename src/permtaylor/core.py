@@ -108,6 +108,14 @@ def diagonal_entries(t: np.ndarray) -> np.ndarray:
     return t[diagonal_index(t.ndim, t.shape[0])]
 
 
+def rounding_gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: a result of k
+    roundings on non-negative terms lies within this relative distance of
+    its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3)."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------

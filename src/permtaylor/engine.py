@@ -42,6 +42,7 @@ Three choices shape the code; each reason is stated here once.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -58,6 +59,7 @@ UFUNC_BUFFER = 1024
 PLAN_BYTES = 1 << 22
 
 
+@functools.lru_cache(maxsize=1024)
 def minor_sum_work(n: int, d: int, m: int) -> int:
     """Work of the minor-sum engine for orders 0..m on a d-dimensional array.
 
@@ -69,7 +71,7 @@ def minor_sum_work(n: int, d: int, m: int) -> int:
     T(U), which give e_1: 2u + 2. At order m only the rows of U are
     needed: 2u. A tensor tuple gathers (u + 1)^(d-1) entries for each row
     of U and, below order m, for each of the n rows, plus the O(n (m - u))
-    recurrence.
+    recurrence. A pure function of (n, d, m), so its results are cached.
     """
     p = (1 << (d - 1)) - 1
     total = (p + 1) * n**d

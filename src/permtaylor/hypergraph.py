@@ -218,10 +218,11 @@ def matching_stats(
     Builds the zero-diagonal weighted tensor lam^2 (A - I), whose n^d
     entries are charged against `work_cap` first, and runs the Taylor
     approximation of the log at its measured lambda, which also checks
-    slice dominance. The result carries both the log-space value
-    with its additive bound and the exponentiated count with relative
-    bound e^bound - 1. `threads` is accepted for compatibility and has no
-    effect.
+    slice dominance (above the order gate of approx_log_permanent, at its
+    scaled lambda and exact tail). The result carries both the log-space
+    value with its additive bound and the exponentiated count with
+    relative bound e^bound - 1. `threads` is accepted for compatibility and
+    has no effect.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")

@@ -20,6 +20,21 @@ logarithm. The identical scheme covers cubical tensors:
 PER(I + z A) also has degree at most n in z, so the same tail bound is
 used with the axis-0 slice sums supplying lam.
 
+Where a lower order saves real engine work, approx_log_permanent tightens
+both. ln g(z) = sum over the n zeros z_i of g of ln(1 - z/z_i), so
+|f^(k)(0)/k!| <= n lam^k / k and the exact majorant tail is
+
+    |f(1) - T_m(1)| <= n sum_{k > m} lam^k / k     (exact_tail_bound),
+
+which the bound above overestimates by taking every 1/k as 1/(m+1). And
+lam may be any lambda of a rescaled array with the same PER(I + zA):
+dominance.scaled_lambda gives the Perron root rho(|A|) for a matrix
+and the NQZ eigenvalue for a tensor. The gate is the work that order
+m - 1 would save, counted per component as _minor_sums charges it: at
+least engine.BLOCK_ENTRIES (one block's temporary) takes the scaled lambda
+and the exact tail, and below it the order, the bound and every byte of
+the JSON are those of the raw lambda and the bound above.
+
 Cost is quasi-polynomial in n (the order m grows like ln n - ln epsilon),
 which is kept honest by explicit work caps instead of silent truncation.
 """
@@ -40,12 +55,15 @@ from .core import (
     _is_int,
     as_tensor,
     pair,
+    rounding_gamma,
 )
-from .dominance import check_dominance_tensor, require_admissible, require_finite
-from .engine import minor_sum_work, minor_sums
+from .dominance import check_dominance_tensor, require_admissible, require_finite, scaled_lambda
+from .engine import BLOCK_ENTRIES, minor_sum_work, minor_sums
 from .summation import ComplexNeumaier
 
 WORK_CAP = 10**9
+# most terms that exact_tail_bound sums before it bounds the rest
+TAIL_TERMS = 256
 # largest Taylor order: 171! and the f_derivs beyond it overflow a float
 MAX_ORDER = 170
 
@@ -59,7 +77,9 @@ class TaylorResult:
     and error_bound certifies |ln per(I + A) - value| on the branch
     continued from f(0) = 0. components lists the sizes of the strong
     components that the minor sums factor over (see _components), in
-    order of their smallest vertex; it is not part of the JSON.
+    order of their smallest vertex; lam is the lambda that error_bound
+    holds for and raw_lam the largest raw slice mass, equal to lam below
+    the order gate (module docstring). None of the three is in the JSON.
     """
 
     g_derivs: tuple[complex, ...]
@@ -68,6 +88,8 @@ class TaylorResult:
     value: complex
     error_bound: float
     components: tuple[int, ...]
+    lam: float
+    raw_lam: float
 
     def to_json(self) -> dict:
         return {
@@ -106,6 +128,28 @@ def taylor_tail_bound(n: int, lam: float, m: int) -> float:
     return n * lam ** (m + 1) / ((m + 1) * (1.0 - lam))
 
 
+def exact_tail_bound(n: int, lam: float, m: int) -> float:
+    """n sum_{k > m} lam^k / k, the tail of ln g's majorant, rounded upward.
+
+    The terms are summed until the rest, at most lam^k / (k (1 - lam))
+    from k on, is below one rounding of the sum, or for TAIL_TERMS terms;
+    that bound on the rest is then added. Each of the k - m terms, and
+    the rest, takes at most k - m + 5 roundings, and their sum and the
+    factor n at most k - m + 2 more; 1 + gamma of twice as many, plus
+    room, covers them (Higham, ch. 3). Never above taylor_tail_bound but
+    by rounding.
+    """
+    if lam == 0.0:
+        return 0.0
+    k, term, total = m + 1, lam ** (m + 1), 0.0
+    while term > total * (k * (1.0 - lam) * 2.0**-53) and k <= m + TAIL_TERMS:
+        total += term / k
+        term *= lam
+        k += 1
+    total += term / (k * (1.0 - lam))
+    return math.nextafter(n * total * (1.0 + rounding_gamma(2 * (k - m) + 12)), math.inf)
+
+
 def choose_order(n: int, lam: float, epsilon: float) -> int:
     """Minimal Taylor order m whose tail bound is at most epsilon.
 
@@ -126,6 +170,12 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if taylor_tail_bound(n, lam, mid) > epsilon else (lo, mid)
     return hi
+
+
+def _order_saving(sizes, d: int, m: int) -> int:
+    """Engine work that order m - 1 saves against order m, per component as
+    _minor_sums charges it: a component with n_C < m runs at n_C either way."""
+    return sum(minor_sum_work(s, d, m) - minor_sum_work(s, d, m - 1) for s in sizes if s >= m)
 
 
 def _reach(adj: np.ndarray) -> np.ndarray:
@@ -198,7 +248,7 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return pruned, [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
 
-def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
+def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None):
     """(c, sizes): c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
 
     PER(I + zA) factors over the strong components of its support
@@ -212,10 +262,11 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int):
     the product would turn into +0.0. The sizes n_C come in order of each
     component's smallest vertex. A sum beyond float64 raises ValueError,
     which names it; the engine's own overflow warnings are silenced, since
-    an overflow in any step leaves some sum non-finite.
+    an overflow in any step leaves some sum non-finite. `parts` is
+    _components(arr) when the caller has it already.
     """
     d = arr.ndim
-    reduced, groups = _components(arr)
+    reduced, groups = _components(arr) if parts is None else parts
     sizes = tuple(len(g) for g in groups)
     orders = [min(m, size) for size in sizes]
     work = sum(minor_sum_work(size, d, k) for size, k in zip(sizes, orders))
@@ -314,7 +365,10 @@ def approx_log_permanent(
     ln per(I) = 0 along z in [0, 1]. The input must be admissible
     (InadmissibleInputError otherwise), and its measured effective lambda
     must not exceed cfg.lam unless that is None; the measured lambda sets
-    both the order and the certified bound (tighter at no cost).
+    both the order and the certified bound (tighter at no cost). Without
+    cfg.order_override, an order whose step down saves at least
+    BLOCK_ENTRIES of engine work is chosen again from the scaled lambda
+    and the exact tail, which then also give the bound (module docstring).
     An order above MAX_ORDER raises SizeCapError before any minor sum.
     `threads` is accepted for compatibility and has no effect.
     """
@@ -325,17 +379,27 @@ def approx_log_permanent(
             f"measured effective lambda {report.effective_lambda:.6g} exceeds "
             f"configured bound {cfg.lam:.6g}"
         )
-    lam = report.effective_lambda
+    lam = raw_lam = report.effective_lambda
     n = arr.shape[0]
+    parts = _components(arr)
     if cfg.order_override is not None:
-        m = cfg.order_override
+        m, saving = cfg.order_override, 0
     else:
         m = choose_order(n, lam, cfg.epsilon)
+        saving = _order_saving(map(len, parts[1]), arr.ndim, m)
+    bound = taylor_tail_bound(n, lam, m)
+    if saving >= BLOCK_ENTRIES:
+        # the exact tail at the scaled lambda is below the raw bound, so the
+        # least order within epsilon is m or below
+        lam = scaled_lambda(parts[0])[0]
+        bound = exact_tail_bound(n, lam, m)
+        while m > 0 and (lower := exact_tail_bound(n, lam, m - 1)) <= cfg.epsilon:
+            m, bound = m - 1, lower
     if m > MAX_ORDER:
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    sums, sizes = _minor_sums(arr, m_g, work_cap)
+    sums, sizes = _minor_sums(arr, m_g, work_cap, parts)
     g = [math.factorial(k) * sums[k] for k in range(m_g + 1)] + [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
     acc = ComplexNeumaier()
@@ -346,8 +410,10 @@ def approx_log_permanent(
         f_derivs=tuple(f),
         order_m=m,
         value=acc.value(),
-        error_bound=taylor_tail_bound(n, lam, m),
+        error_bound=bound,
         components=sizes,
+        lam=lam,
+        raw_lam=raw_lam,
     )
 
 

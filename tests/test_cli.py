@@ -12,6 +12,8 @@ import pytest
 
 from permtaylor import cli as cli_module
 from permtaylor import (
+    ApproxConfig,
+    approx_log_permanent,
     dominance,
     hypergraph,
     identity_tensor,
@@ -446,14 +448,49 @@ OVERFLOWING = {
     ("minors", ["zero-scan", "--grid", "2x2"], 1, "minor sum c_2 overflows float64"),
     ("minors", ["zero-scan", "--grid", "2x2", "--radius", "1"], 1,
      "minor sum c_2 overflows float64"),
+    ("minors", ["exact"], 1, "the permanent per(I + A) overflows float64"),
+    ("minors", ["exact", "--raw"], 1, "the permanent per(A) overflows float64"),
 ], ids=["mass-zero-scan", "mass-dominance", "mass-approx", "minors-zero-scan",
-        "minors-zero-scan-radius"])
+        "minors-zero-scan-radius", "minors-exact", "minors-exact-raw"])
 def test_overflowing_sums_end_in_one_error_line(tmp_path, capsys, instance, argv, code, line):
     # with warnings as errors, an overflow warning that leaked would fail the call
     path = tmp_path / "in.json"
     path.write_text(json.dumps(OVERFLOWING[instance]))
     assert cli_module.run([*argv, str(path)]) == code
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_exact_names_an_overflowing_tensor_permanent(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "n": 2, "entries": [[1e200, 0]] * 8}))
+    assert cli_module.run(["exact", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: the permanent PER(I + A) overflows float64\n")
+
+
+def test_approx_admissibility_stays_on_raw_row_sums(tmp_path, capsys):
+    # rho(|A|) = sqrt(0.12) < 1 would admit this matrix, but its first row sum is 1.2
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[0, 0], [1.2, 0], [0.1, 0], [0, 0]]}))
+    assert cli_module.run(["approx", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: input is not admissible (effective lambda 1.2 >= 1)\n"
+    )
+
+
+def test_approx_names_the_lambda_of_its_bound(tmp_path, capsys):
+    assert cli_module.run(["gen", "matrix", "--n", "16", "--lambda", "0.4", "--seed", "1"]) == 0
+    path = tmp_path / "m16.json"
+    path.write_text(capsys.readouterr().out)
+    assert cli_module.run(["approx", str(path)]) == 0
+    out, err = capsys.readouterr()
+    res = approx_log_permanent(matrix_from_json(json.loads(path.read_text())),
+                               ApproxConfig(None, 0.01))
+    assert json.loads(out)["m"] == res.order_m == 5
+    assert err == (
+        f"n = 16, components 1 (largest 16), order m = 5, certified bound "
+        f"{res.error_bound:.3g}, lambda {res.lam:.4g} (raw {res.raw_lam:.4g})\n"
+    )
+    assert res.lam < res.raw_lam
 
 
 def test_dominance_scaled_names_an_overflowing_relative_mass(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from permtaylor import (
     identity_tensor,
     permanent_ryser,
     permanent_tensor,
+    scaled_lambda,
 )
 from permtaylor.generators import (
     block_extremal_matrix,
@@ -192,3 +195,58 @@ def test_zero_diagonal_generators_need_two_rows():
         random_admissible_tensor(2, 1, 0.5, rng, zero_diag=True)
     with pytest.raises(ValueError, match="n >= 2"):
         random_admissible_tensor(3, 1, 0.5, rng, zero_diag=True)
+
+
+def test_report_carries_a_nan_mass_into_lambda():
+    # |b_11| overflows to inf, so slice 1's relative mass is (inf - inf) / inf
+    report = diagonal_normal_form(np.array([[1, 0], [0, 1.5e308 + 1.5e308j]])).report
+    assert report.row_sums[0] == 0.0 and math.isnan(report.row_sums[1])
+    assert math.isnan(report.effective_lambda)
+    assert not report.admissible
+
+
+def _rescaled(a, y):
+    """Entry (i, j_1, ..., j_{d-1}) times prod_t y[j_t] / y[i]^(d-1)."""
+    d, n = a.ndim, a.shape[0]
+    out = a / y.reshape((n,) + (1,) * (d - 1)) ** (d - 1)
+    for t in range(1, d):
+        out = out * y.reshape((1,) * t + (n,) + (1,) * (d - 1 - t))
+    return out
+
+
+@pytest.mark.parametrize("d, sizes, oracle", [
+    (2, range(1, 9), permanent_ryser),
+    (3, range(1, 6), permanent_tensor),
+])
+def test_scaled_lambda_keeps_the_permanent_and_certifies_the_rescaled_masses(d, sizes, oracle):
+    rng = np.random.default_rng(60 + d)
+    for n in sizes:
+        a = random_admissible_tensor(d, n, 0.7, rng)
+        lam, y = scaled_lambda(a)
+        shift = identity_tensor(d, n)
+        scaled = _rescaled(a, y)
+        assert np.allclose(oracle(shift + scaled), oracle(shift + a), rtol=1e-12, atol=0)
+        raw = check_dominance_tensor(a).effective_lambda
+        assert check_dominance_tensor(scaled).effective_lambda <= lam <= raw
+        if n > 1:
+            assert lam < raw  # a dense array gains from the scaling
+
+
+def test_scaled_lambda_of_a_matrix_is_its_perron_root():
+    rng = np.random.default_rng(62)
+    a = random_admissible_tensor(2, 12, 0.5, rng)
+    rho = max(abs(np.linalg.eigvals(np.abs(a))))
+    lam, _ = scaled_lambda(a)
+    assert rho <= lam <= rho * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 3)),
+    block_extremal_matrix(6, 0.4),
+    np.diag([0.2, 0.0, 0.3]),
+    np.zeros((0, 0)),
+], ids=["zero", "block", "zero-rows", "empty"])
+def test_scaled_lambda_falls_back_to_the_raw_masses(a):
+    lam, y = scaled_lambda(a)
+    assert lam == check_dominance_tensor(a).effective_lambda
+    assert (y == 1).all() and y.shape == (a.shape[0],)

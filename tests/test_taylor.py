@@ -22,8 +22,10 @@ from permtaylor import (
     InadmissibleInputError,
     NormalizationError,
     approx_log_permanent,
+    check_dominance_tensor,
     choose_order,
     exact_log_permanent,
+    exact_tail_bound,
     identity_tensor,
     json_dumps,
     log_derivatives,
@@ -31,6 +33,7 @@ from permtaylor import (
     perm_poly_derivs_tensor,
     permanent_ryser,
     permanent_tensor,
+    scaled_lambda,
     taylor_tail_bound,
     zero_scan,
 )
@@ -107,6 +110,28 @@ def test_tail_bound_strictly_decreasing():
         cur = taylor_tail_bound(12, 0.6, m)
         assert cur < prev
         prev = cur
+
+
+@pytest.mark.parametrize("n, lam, m, rtol", [
+    (16, 0.36, 5, 1e-12), (18, 0.4, 6, 1e-12), (6, 0.05, 0, 1e-12), (100, 0.9, 40, 1e-12),
+    # at 0.99 the sum stops after TAIL_TERMS terms, and the bound
+    # 0.99^k / (k (1 - 0.99)) on the rest leaves the tail 0.2% above exact
+    (3, 0.99, 2, 1e-2),
+])
+def test_exact_tail_bound_holds_and_is_tight(n, lam, m, rtol):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(lam)  # the double itself, exactly
+        exact = n * mpmath.nsum(lambda k: x**k / k, [m + 1, mpmath.inf])
+        got = exact_tail_bound(n, lam, m)
+        assert exact <= got <= exact * (1 + rtol)
+    assert got <= taylor_tail_bound(n, lam, m)
+    assert exact_tail_bound(n, 0.0, m) == 0.0
+
+
+def test_exact_tail_bound_strictly_decreasing():
+    tails = [exact_tail_bound(12, 0.6, m) for m in range(30)]
+    assert all(b < a for a, b in zip(tails, tails[1:]))
 
 
 # -- derivatives of per(I + zA) ----------------------------------------------
@@ -298,6 +323,50 @@ def test_approx_d4_tensor_within_bound():
     res = approx_log_permanent(t, ApproxConfig(0.5, 0.05))
     ref = exact_log_permanent(t)
     assert abs(res.value - ref) <= res.error_bound
+
+
+def _within_bound(res, exact):
+    """|value - ln exact| <= error_bound on some branch, checked without one:
+    |exp(value) / exact - 1| <= expm1(error_bound)."""
+    return abs(cmath.exp(res.value) / exact - 1) <= math.expm1(res.error_bound) + 1e-12
+
+
+def test_approx_scales_lambda_and_drops_the_order_above_the_gate():
+    # on a dense n = 16 matrix, order 5 saves 185,144 engine steps against 6
+    a = random_admissible_tensor(2, 16, 0.4, np.random.default_rng(1))
+    assert taylor._order_saving([16], 2, 6) >= taylor.BLOCK_ENTRIES
+    raw = check_dominance_tensor(a).effective_lambda
+    assert choose_order(16, raw, 0.01) == 6
+    res = approx_log_permanent(a, ApproxConfig(None, 0.01))
+    assert (res.order_m, res.raw_lam) == (5, raw)
+    assert res.lam == scaled_lambda(a)[0] < raw
+    assert res.error_bound == exact_tail_bound(16, res.lam, 5) <= 0.01
+    assert exact_tail_bound(16, res.lam, 4) > 0.01
+    assert _within_bound(res, permanent_ryser(np.eye(16) + a))
+
+
+def test_approx_tensor_above_the_gate_within_bound():
+    t = random_admissible_tensor(3, 6, 0.45, np.random.default_rng(70))
+    raw = check_dominance_tensor(t).effective_lambda
+    assert taylor._order_saving([6], 3, choose_order(6, raw, 0.01)) >= taylor.BLOCK_ENTRIES
+    res = approx_log_permanent(t, ApproxConfig(None, 0.01))
+    assert res.lam < raw and res.error_bound == exact_tail_bound(6, res.lam, res.order_m)
+    assert _within_bound(res, permanent_tensor(identity_tensor(3, 6) + t))
+
+
+@pytest.mark.parametrize("d, n, lam", [(2, 10, 0.45), (2, 16, 0.2), (3, 4, 0.45), (2, 16, 0.4)])
+def test_approx_below_the_gate_keeps_the_raw_order_and_bound(d, n, lam):
+    # (2, 16, 0.4) runs at m = 6, whose saving is above the gate, but a
+    # forced order is never refined
+    a = random_admissible_tensor(d, n, lam, np.random.default_rng(71))
+    raw = check_dominance_tensor(a).effective_lambda
+    m = choose_order(n, raw, 0.01)
+    forced = lam == 0.4
+    cfg = ApproxConfig(None, 0.01, order_override=m if forced else None)
+    assert forced or taylor._order_saving([n], d, m) < taylor.BLOCK_ENTRIES
+    res = approx_log_permanent(a, cfg)
+    assert (res.order_m, res.lam, res.raw_lam) == (m, raw, raw)
+    assert res.error_bound == taylor_tail_bound(n, raw, m)
 
 
 def test_approx_uses_measured_lambda_when_smaller():
