@@ -26,14 +26,28 @@ both. ln g(z) = sum over the n zeros z_i of g of ln(1 - z/z_i), so
 
     |f(1) - T_m(1)| <= n sum_{k > m} lam^k / k     (exact_tail_bound),
 
-which the bound above overestimates by taking every 1/k as 1/(m+1). And
-lam may be any lambda of a rescaled array with the same PER(I + zA):
-dominance.scaled_lambda gives the Perron root rho(|A|) for a matrix
-and the NQZ eigenvalue for a tensor. The gate is the work that order
-m - 1 would save, counted per component as _minor_sums charges it: at
-least engine.BLOCK_ENTRIES (one block's temporary) takes the scaled lambda
-and the exact tail, and below it the order, the bound and every byte of
-the JSON are those of the raw lambda and the bound above.
+which the bound above overestimates by taking every 1/k as 1/(m+1). The
+diagonal is split off first: PER(I + A) = prod_i (1 + a_{i...i})
+PER(I + A'), with A' the zero-diagonal normal form of I + A
+(dominance.diagonal_normal_form), so ln PER(I + A) is the principal
+sum of ln(1 + a_{i...i}) plus ln PER(I + A'), on the branch continued
+from 0. (On the square (s, t) in [0, 1]^2 the array D_s + t s A_off, D_s
+the diagonal of I + s A and A_off the rest of A, keeps every slice
+strictly dominant, so its PER has no zero there and both paths from
+(0, 0) to (1, 1) continue the same logarithm.) A slice of A' has mass
+R_i / |1 + a_{i...i}| <= R_i / (1 - |a_{i...i}|), R_i the off-diagonal
+mass of A, which is at most |a_{i...i}| + R_i whenever that is below 1;
+the same holds after any rescaling. And lam may be any lambda of a
+rescaled array with the same PER(I + zA'): dominance.scaled_lambda
+gives the Perron root rho(|A'|) for a matrix and the NQZ eigenvalue for
+a tensor. So the lambda of A' is never above that of A, and is below it
+by about the diagonal's share of the mass. The gate is the work that
+order m - 1 would save, counted per component as _minor_sums charges
+it. At least engine.BLOCK_ENTRIES (one block's temporary) tries the
+split, the scaled lambda and the exact tail, and takes them when they
+bring the tail within epsilon at a lower order. Otherwise, and below
+the gate, the order, the bound and every byte of the JSON are those of
+A, the raw lambda and the bound above.
 
 Cost is quasi-polynomial in n (the order m grows like ln n - ln epsilon),
 which is kept honest by explicit work caps instead of silent truncation.
@@ -54,10 +68,17 @@ from .core import (
     SizeCapError,
     _is_int,
     as_tensor,
+    identity_tensor,
     pair,
     rounding_gamma,
 )
-from .dominance import check_dominance_tensor, require_admissible, require_finite, scaled_lambda
+from .dominance import (
+    check_dominance_tensor,
+    diagonal_normal_form,
+    require_admissible,
+    require_finite,
+    scaled_lambda,
+)
 from .engine import BLOCK_ENTRIES, minor_sum_work, minor_sums
 from .summation import ComplexNeumaier
 
@@ -75,11 +96,14 @@ class TaylorResult:
     g_derivs[k] and f_derivs[k] are the k-th derivatives at 0 of
     g(z) = per(I + z A) and f = ln g; value is T_m(1) = sum f_k / k!,
     and error_bound certifies |ln per(I + A) - value| on the branch
-    continued from f(0) = 0. components lists the sizes of the strong
-    components that the minor sums factor over (see _components), in
-    order of their smallest vertex; lam is the lambda that error_bound
-    holds for and raw_lam the largest raw slice mass, equal to lam below
-    the order gate (module docstring). None of the three is in the JSON.
+    continued from f(0) = 0. Where the diagonal split lowers the order
+    (module docstring), g is PER(I + z A') of the diagonal normal form A'
+    of I + A, and value adds sum_i ln(1 + a_{i...i}) to T_m(1).
+    components lists the sizes of the strong components that the minor
+    sums factor over (see _components), in order of their smallest
+    vertex; lam is the lambda that error_bound holds for and raw_lam the
+    largest raw slice mass, equal to lam unless the split is taken. None
+    of the three is in the JSON.
     """
 
     g_derivs: tuple[complex, ...]
@@ -367,8 +391,9 @@ def approx_log_permanent(
     must not exceed cfg.lam unless that is None; the measured lambda sets
     both the order and the certified bound (tighter at no cost). Without
     cfg.order_override, an order whose step down saves at least
-    BLOCK_ENTRIES of engine work is chosen again from the scaled lambda
-    and the exact tail, which then also give the bound (module docstring).
+    BLOCK_ENTRIES of engine work is lowered where the scaled lambda of
+    the diagonal normal form and the exact tail allow it, and they then
+    also give the bound (module docstring).
     An order above MAX_ORDER raises SizeCapError before any minor sum.
     `threads` is accepted for compatibility and has no effect.
     """
@@ -388,21 +413,28 @@ def approx_log_permanent(
         m = choose_order(n, lam, cfg.epsilon)
         saving = _order_saving(map(len, parts[1]), arr.ndim, m)
     bound = taylor_tail_bound(n, lam, m)
+    log_prefactor = 0j
     if saving >= BLOCK_ENTRIES:
-        # the exact tail at the scaled lambda is below the raw bound, so the
-        # least order within epsilon is m or below
-        lam = scaled_lambda(parts[0])[0]
-        bound = exact_tail_bound(n, lam, m)
-        while m > 0 and (lower := exact_tail_bound(n, lam, m - 1)) <= cfg.epsilon:
-            m, bound = m - 1, lower
+        # the diagonal goes into an exact prefactor; the rest is expanded
+        # instead of A only when the exact tail at its scaled lambda lowers
+        # the order
+        normal = diagonal_normal_form(identity_tensor(arr.ndim, n) + parts[0])
+        split_lam, split_m = scaled_lambda(normal.a)[0], m
+        while split_m > 0 and (tail := exact_tail_bound(n, split_lam, split_m - 1)) <= cfg.epsilon:
+            split_m, split_bound = split_m - 1, tail
+        if split_m < m:
+            parts, log_prefactor = (normal.a, parts[1]), normal.log_prefactor
+            lam, m, bound = split_lam, split_m, split_bound
     if m > MAX_ORDER:
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
     # g has degree at most n: derivatives beyond n vanish identically
     m_g = min(m, n)
-    sums, sizes = _minor_sums(arr, m_g, work_cap, parts)
+    sums, sizes = _minor_sums(parts[0], m_g, work_cap, parts)
     g = [math.factorial(k) * sums[k] for k in range(m_g + 1)] + [complex(0.0)] * (m - m_g)
     f = log_derivatives(g)
     acc = ComplexNeumaier()
+    # +0j unless the split is taken, which leaves the sum's bits as they were
+    acc.add(log_prefactor)
     for k in range(m + 1):
         acc.add(f[k] / math.factorial(k))
     return TaylorResult(

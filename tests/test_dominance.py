@@ -232,6 +232,19 @@ def test_scaled_lambda_keeps_the_permanent_and_certifies_the_rescaled_masses(d, 
             assert lam < raw  # a dense array gains from the scaling
 
 
+@pytest.mark.parametrize("d, n", [(2, 10), (3, 5)])
+def test_splitting_off_the_diagonal_never_raises_the_certified_lambda(d, n):
+    # a slice of the normal form A' of I + A has mass R_i / |1 + a_i...i|
+    # under any rescaling y, at most R_i + |a_i...i| while that is below 1
+    rng = np.random.default_rng(63 + d)
+    for lam in (0.3, 0.6, 0.9):
+        a = random_admissible_tensor(d, n, lam, rng)
+        split = diagonal_normal_form(identity_tensor(d, n) + a).a
+        lam_a, y = scaled_lambda(a)
+        assert check_dominance_tensor(_rescaled(split, y)).effective_lambda <= lam_a
+        assert scaled_lambda(split)[0] < lam_a
+
+
 def test_scaled_lambda_of_a_matrix_is_its_perron_root():
     rng = np.random.default_rng(62)
     a = random_admissible_tensor(2, 12, 0.5, rng)

@@ -24,6 +24,7 @@ from permtaylor import (
     approx_log_permanent,
     check_dominance_tensor,
     choose_order,
+    diagonal_normal_form,
     exact_log_permanent,
     exact_tail_bound,
     identity_tensor,
@@ -339,10 +340,44 @@ def test_approx_scales_lambda_and_drops_the_order_above_the_gate():
     assert choose_order(16, raw, 0.01) == 6
     res = approx_log_permanent(a, ApproxConfig(None, 0.01))
     assert (res.order_m, res.raw_lam) == (5, raw)
-    assert res.lam == scaled_lambda(a)[0] < raw
+    normal = diagonal_normal_form(np.eye(16) + a)
+    assert res.lam == scaled_lambda(normal.a)[0] < scaled_lambda(a)[0] < raw
     assert res.error_bound == exact_tail_bound(16, res.lam, 5) <= 0.01
     assert exact_tail_bound(16, res.lam, 4) > 0.01
     assert _within_bound(res, permanent_ryser(np.eye(16) + a))
+    # g is PER(I + zA') of the normal form, and value adds its prefactor
+    split = approx_log_permanent(normal.a, ApproxConfig(None, 0.01, order_override=5))
+    assert (res.g_derivs, res.f_derivs) == (split.g_derivs, split.f_derivs)
+    assert abs(res.value - (normal.log_prefactor + split.value)) <= 1e-14
+
+
+def test_approx_split_keeps_the_branch_of_a_winding_diagonal():
+    # the 16 factors 1 + 0.4 e^{i phi}, cos phi = -0.4, wind 6.59 > 2 pi
+    # around 0; raw lambda 0.5 asks for m = 12, and the split for far less
+    rng = np.random.default_rng(72)
+    a = random_admissible_tensor(2, 16, 0.1, rng, zero_diag=True)
+    a += 0.4 * cmath.exp(1j * math.acos(-0.4)) * np.eye(16)
+    res = approx_log_permanent(a, ApproxConfig(None, 0.01))
+    raw_m = choose_order(16, res.raw_lam, 0.01)
+    assert taylor._order_saving([16], 2, raw_m) >= taylor.BLOCK_ENTRIES
+    assert res.order_m < 6 < raw_m < 16
+    assert _within_bound(res, permanent_ryser(np.eye(16) + a))
+    unsplit = approx_log_permanent(a, ApproxConfig(None, 0.01, order_override=raw_m))
+    assert abs(res.value - unsplit.value) <= res.error_bound + unsplit.error_bound
+    assert res.value.imag > 2 * math.pi
+
+
+def test_approx_above_the_gate_keeps_the_raw_bytes_when_the_order_stays():
+    # n = 100 at lambda 0.1 runs at m = 3, whose step down is above the gate,
+    # but no lambda of the split brings the exact tail at m = 2 within 0.01
+    a = random_admissible_tensor(2, 100, 0.1, np.random.default_rng(11))
+    raw = check_dominance_tensor(a).effective_lambda
+    assert taylor._order_saving([100], 2, 3) >= taylor.BLOCK_ENTRIES
+    res = approx_log_permanent(a, ApproxConfig(None, 0.01))
+    forced = approx_log_permanent(a, ApproxConfig(None, 0.01, order_override=3))
+    assert (res.order_m, res.lam, res.raw_lam) == (3, raw, raw)
+    assert res.to_json() == forced.to_json()
+    assert res.error_bound == taylor_tail_bound(100, raw, 3)
 
 
 def test_approx_tensor_above_the_gate_within_bound():
