@@ -2,6 +2,8 @@
 complex matrices and cubical tensors, with exact oracles and an
 application to weighted perfect-matching statistics in hypergraphs."""
 
+import types
+
 from .collapse import collapse
 from .core import (
     ApproxConfig,
@@ -60,50 +62,9 @@ from .taylor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxConfig",
-    "DPartiteHypergraph",
-    "DominanceForm",
-    "DominanceReport",
-    "InadmissibleInputError",
-    "InvalidMatchingError",
-    "MatchingStatsResult",
-    "NormalizationError",
-    "NormalizedProblem",
-    "SingularScalingError",
-    "SizeCapError",
-    "TaylorResult",
-    "ZeroScanReport",
-    "approx_log_permanent",
-    "as_matrix",
-    "as_tensor",
-    "check_dominance_matrix",
-    "check_dominance_tensor",
-    "choose_order",
-    "collapse",
-    "diagonal_normal_form",
-    "encode_tensor",
-    "enumerate_matchings",
-    "exact_log_permanent",
-    "exact_tail_bound",
-    "hypergraph_from_json",
-    "identity_tensor",
-    "json_dumps",
-    "log_derivatives",
-    "matching_stats",
-    "matrix_from_json",
-    "matrix_to_json",
-    "minor_sum_work",
-    "normalize_base_matching",
-    "perm_poly_derivs",
-    "perm_poly_derivs_tensor",
-    "permanent_ryser",
-    "permanent_tensor",
-    "permanent_tensor_slice_expansion",
-    "principal_subtensor",
-    "scaled_lambda",
-    "taylor_tail_bound",
-    "tensor_from_json",
-    "tensor_to_json",
-    "zero_scan",
-]
+# every name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -77,15 +77,15 @@ def as_matrix(a) -> np.ndarray:
     return as_tensor(arr)
 
 
-def as_tensor(a) -> np.ndarray:
-    """Validate and convert to a cubical tensor of dimension >= 2."""
+def as_tensor(a, finite: bool = True) -> np.ndarray:
+    """Validate and convert to a cubical tensor of dimension >= 2; with
+    finite False, the caller checks that the entries are finite."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim < 2:
         raise ValueError(f"expected a tensor of dimension >= 2, got shape {arr.shape}")
-    n = arr.shape[0]
-    if any(s != n for s in arr.shape):
+    if arr.shape != arr.shape[:1] * arr.ndim:
         raise ValueError(f"expected a cubical tensor, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ValueError("non-finite entries (NaN or Inf) are not admitted")
     return arr
 
@@ -104,8 +104,10 @@ def diagonal_index(d: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 def diagonal_entries(t: np.ndarray) -> np.ndarray:
-    """The entries t[i, ..., i] for i = 0..n-1."""
-    return t[diagonal_index(t.ndim, t.shape[0])]
+    """The entries t[i, ..., i] for i = 0..n-1, to read: a view where t is contiguous."""
+    n = t.shape[0]
+    # (i, ..., i) lies at i (1 + n + ... + n^(d-1)) in the flat array
+    return t.reshape(-1)[:: sum(n**k for k in range(t.ndim))]
 
 
 def rounding_gamma(k: int) -> float:
@@ -225,50 +227,49 @@ def tensor_to_json(t) -> dict:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _float_list_format(length: int) -> str:
-    """'[%.17g, ..., %.17g]' with `length` fields."""
-    return "[" + ", ".join(["%.17g"] * length) + "]"
+def _float_list_format(rows: int, length: int) -> str:
+    """'[%.17g, ..., %.17g]' with `length` fields, or a list of `rows` of them."""
+    row = "[" + ", ".join(["%.17g"] * length) + "]"
+    return "[" + ", ".join([row] * rows) + "]" if rows else row
 
 
-def _render(obj, out: list[str]) -> None:
+def _float_rows(obj: list):
+    """(floats, format) of a list of floats, or of equal-length lists of them
+    such as complex pairs and grid rows, else None; the format renders them
+    in the bytes that the items give one by one."""
+    if set(map(type, obj)) == {float}:
+        return obj, _float_list_format(0, len(obj))
+    if set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1:
+        flat = list(itertools.chain.from_iterable(obj))
+        if set(map(type, flat)) == {float}:
+            return flat, _float_list_format(len(obj), len(obj[0]))
+    return None
+
+
+def _render(obj) -> str:
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("non-finite number in JSON output")
-        out.append(format(x, ".17g"))
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        floats, form = [float(obj)], "%.17g"
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
-        # a grid row or a complex pair in one format; same bytes as the items one by one
-        if not all(map(math.isfinite, obj)):
-            raise ValueError("non-finite number in JSON output")
-        out.append(_float_list_format(len(obj)) % tuple(obj))
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    elif isinstance(obj, list) and obj and (rows := _float_rows(obj)):
+        floats, form = rows
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render(item, out)
-        out.append("]")
+        return "[" + ", ".join(map(_render, obj)) + "]"
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            _render(str(key), out)
-            out.append(": ")
-            _render(val, out)
-        out.append("}")
+        return "{" + ", ".join(_render(str(k)) + ": " + _render(v) for k, v in obj.items()) + "}"
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("non-finite number in JSON output")
+    return form % tuple(floats)
 
 
 def json_dumps(obj) -> str:
@@ -277,6 +278,4 @@ def json_dumps(obj) -> str:
     Key order follows dict insertion order, so identical documents render
     byte-identically.
     """
-    out: list[str] = []
-    _render(obj, out)
-    return "".join(out)
+    return _render(obj)

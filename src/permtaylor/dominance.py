@@ -96,7 +96,7 @@ class NormalizedProblem:
 def _report(sums: np.ndarray, form: DominanceForm) -> DominanceReport:
     """Python's max skips a NaN that is not first, so a NaN mass is carried
     into effective_lambda by hand; a non-finite lambda is never admissible."""
-    row_sums = tuple(float(s) for s in sums)
+    row_sums = tuple(sums.tolist())
     eff = math.nan if any(map(math.isnan, row_sums)) else max(row_sums, default=0.0)
     return DominanceReport(row_sums, eff, eff < 1.0, form)
 
@@ -109,7 +109,7 @@ def _slice_sums(arr: np.ndarray) -> np.ndarray:
     """
     n = arr.shape[0]
     with np.errstate(over="ignore"):
-        return np.abs(arr).reshape(n, n ** (arr.ndim - 1)).sum(axis=1)
+        return np.add.reduce(np.abs(arr).reshape(n, n ** (arr.ndim - 1)), axis=1)
 
 
 def require_finite(report: DominanceReport) -> DominanceReport:
@@ -122,6 +122,12 @@ def require_finite(report: DominanceReport) -> DominanceReport:
 
 
 def scaled_lambda(a) -> tuple[float, np.ndarray]:
+    """magnitude_lambda of |A|, for a matrix or cubical tensor A."""
+    with np.errstate(all="ignore"):
+        return magnitude_lambda(np.abs(as_tensor(a)))
+
+
+def magnitude_lambda(mag: np.ndarray) -> tuple[float, np.ndarray]:
     """A lambda no larger than the raw slice masses, and the y that certifies it.
 
     Power iteration on |A|: x = |A| contracted with y on each of the d - 1
@@ -134,30 +140,33 @@ def scaled_lambda(a) -> tuple[float, np.ndarray]:
     most SCALING_STEPS times; a y with a zero or non-finite entry ends it.
     Returns min(raw lambda, least lambda(y)) and its y, which is all ones
     when no step beat the raw masses. For d = 2 this is plain power
-    iteration, and lambda(y) falls to rho(|A|).
+    iteration, and lambda(y) falls to rho(|A|). mag is |A|, which the
+    caller has taken.
     """
-    arr = as_tensor(a)
-    d, n = arr.ndim, arr.shape[0]
+    d, n = mag.ndim, mag.shape[0]
     slack = 1.0 + rounding_gamma(2 * ((d - 1) * (n + 1) + d))
+    # ndarray.max and sum, without their Python wrappers
+    top = np.maximum.reduce
     with np.errstate(all="ignore"):
-        mag = np.abs(arr)
-        x = mag.reshape(n, n ** (d - 1)).sum(axis=1)
-        best, best_y, last = float(x.max(initial=0.0)), np.ones(n), math.inf
+        x = np.add.reduce(mag.reshape(n, n ** (d - 1)), axis=1)
+        best, best_y, last = float(top(x, initial=0.0)), None, math.inf
         for _ in range(SCALING_STEPS if n else 0):
-            # an inf or NaN in x leaves a NaN or a 0 in y
-            y = (x / x.max()) ** (1.0 / (d - 1))
-            if not (y > 0).all():
-                break
+            # an inf or NaN in x leaves a NaN or a 0 in y, and then lam is
+            # inf or NaN, which ends the iteration; a matrix takes no
+            # powers, which would return their base bit for bit
+            y = x / top(x)
+            if d > 2:
+                y = y ** (1.0 / (d - 1))
             x = mag
             for _ in range(d - 1):
                 x = x @ y
-            lam = math.nextafter(float((x / y ** (d - 1)).max()) * slack, math.inf)
+            lam = math.nextafter(float(top(x / (y if d == 2 else y ** (d - 1)))) * slack, math.inf)
             if lam < best:
                 best, best_y = lam, y
             if not lam < last * (1.0 - SCALING_TOL):
                 break
             last = lam
-    return best, best_y
+    return best, np.ones(n) if best_y is None else best_y
 
 
 def check_dominance_matrix(a) -> DominanceReport:
@@ -167,10 +176,15 @@ def check_dominance_matrix(a) -> DominanceReport:
 
 def check_dominance_tensor(a) -> DominanceReport:
     """l1 mass of each axis-0 slice and the max over slices."""
-    arr = as_tensor(a)
-    zero_diag = bool(np.all(diagonal_entries(arr) == 0))
+    arr = as_tensor(a, finite=False)
+    zero_diag = not diagonal_entries(arr).any()
     form = DominanceForm.ZERO_DIAGONAL_A if zero_diag else DominanceForm.SHIFTED_I_PLUS_A
-    return _report(_slice_sums(arr), form)
+    report = _report(_slice_sums(arr), form)
+    if not math.isfinite(report.effective_lambda):
+        # a non-finite entry leaves its slice's mass, and so lambda,
+        # non-finite; so may a mass that overflows
+        as_tensor(arr)
+    return report
 
 
 def require_admissible(a) -> DominanceReport:
@@ -195,15 +209,23 @@ def diagonal_normal_form(b) -> NormalizedProblem:
     effective_lambda <= lam, and A' is admissible when report.admissible.
     """
     arr = as_tensor(b)
-    n = arr.shape[0]
     diag = diagonal_entries(arr)
     zeros = np.flatnonzero(diag == 0)
     if zeros.size:
         raise SingularScalingError(f"diagonal entry {zeros[0]} is zero")
     # a quotient beyond float64 shows as a non-finite mass in the report
     with np.errstate(over="ignore", invalid="ignore"):
+        a, log_prefactor = split_diagonal(arr, diag)
         scale = np.abs(diag)
-        a = arr / diag.reshape((n,) + (1,) * (arr.ndim - 1))
-        a[diagonal_index(arr.ndim, n)] = 0.0
         report = _report((_slice_sums(arr) - scale) / scale, DominanceForm.GENERAL_B)
-    return NormalizedProblem(a, complex(np.sum(np.log(diag))), report)
+    return NormalizedProblem(a, log_prefactor, report)
+
+
+def split_diagonal(b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, complex]:
+    """(A', sum_i Log diag_i) of diagonal_normal_form, without its report:
+    a checked cubical b with each axis-0 slice divided by the nonzero
+    diag_i and its diagonal zeroed. A quotient beyond float64 warns."""
+    n = len(diag)
+    a = b / diag.reshape((n,) + (1,) * (b.ndim - 1))
+    a[diagonal_index(b.ndim, n)] = 0.0
+    return a, complex(np.log(diag).sum())

@@ -119,6 +119,7 @@ def _block_sizes(n: int, p: int, u: int) -> tuple[int, int]:
     return min(math.comb(n, u), columns), npb
 
 
+@functools.lru_cache(maxsize=1024)
 def _batch_limit(n: int, p: int, m: int) -> int:
     """Most arrays of size n that one engine pass takes at order m.
 
@@ -186,38 +187,59 @@ def _checked_walk(n: int, m: int, caps):
         yield rows, parent
 
 
-# programs by (walk, d, n, m, block sizes, B) with their bytes, least recently used first
+# programs by (walk, d, n, m, B) with their bytes, least recently used first
 _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
 
 
-def _program(d: int, n: int, m: int, sizes, nb: int):
-    """The engine's compiled walk for a stack of B arrays of shape (n,) * d, at order m.
+def _program(d: int, n: int, m: int, nb: int):
+    """(regions, steps) of the engine pass over B arrays of shape (n,) * d, at order m.
 
-    _matrix_program or _tensor_program compiles it from the checked walk.
-    Every thread reads a kept program, and none writes to it. A kept
-    program stores its positions, checked, in the narrowest unsigned dtype
-    that holds them all, and every array in it is read-only. The programs
-    kept hold at most PLAN_BYTES, and the least recently used go first. A
-    program above that budget, whose size _program_bytes gives before any
-    is built, is never held whole: it is compiled block by block inside
-    the call, with np.intp positions. The key holds the walk function, so
-    a replaced _co_subset_blocks gets programs of its own.
+    Both depend on the shape alone. The regions size the workspace of the
+    terms and of the recurrence from the block sizes (_block_sizes); the
+    steps are the walk, which _matrix_program or _tensor_program compiles
+    from the checked walk. Every thread reads a kept program, and none
+    writes to it. A kept program stores its positions, checked, in the
+    narrowest unsigned dtype that holds them all, and every array in it
+    is read-only. The programs kept hold at most PLAN_BYTES, and the least
+    recently used go first. A program above that budget, whose size
+    _program_bytes gives before any is built, is never held whole: it is
+    compiled block by block inside the call, with np.intp positions. The
+    key holds the walk function, so a replaced _co_subset_blocks gets
+    programs of its own.
     """
-    key = (_co_subset_blocks, d, n, m, tuple(sizes), nb)
+    key = (_co_subset_blocks, d, n, m, nb)
     with _plans_lock:
         if key in _plans:
             _plans.move_to_end(key)
             return _plans[key][0]
+    sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]
+    if d == 2:
+        # the top order's factors and the entries removed from factors, which
+        # also hold gathered columns for the row sums; the lead and e_1; the
+        # factors kept at each size below m, and the row sums carried at
+        # sizes 1..m-2
+        caps = [cap for cap, _ in sizes]
+        wide = nb * max(caps)
+        terms = [2 * m * wide, wide, wide] + [(u + 1) * nb * k for u, k in enumerate(caps[1:m], 1)]
+        terms += [(n + 1) * nb * k for k in caps[1 : max(m - 1, 1)]]
+    else:
+        # entries gathered, and slice sums formed, for each row of a block of each size
+        gather = max(nb * k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes))
+        slices = max(nb * k * npb for k, npb in sizes)
+        terms = [m * gather, n * gather, n * slices, slices]
+    # e_0..e_(m-u) and one recurrence step for the widest block of each size u
+    widths = [(m - u, nb * k * npb) for u, (k, npb) in enumerate(sizes)]
+    regions = tuple(terms), (max((j + 1) * w for j, w in widths), max(j * w for j, w in widths))
     size, dtype = _program_bytes(d, n, m, sizes, nb)
     keep = size <= PLAN_BYTES
     if d == 2:
-        program = _matrix_program(n, m, [cap for cap, _ in sizes], nb, dtype, keep)
+        steps = _matrix_program(n, m, caps, nb, dtype, keep)
     else:
-        program = _tensor_program(d, n, m, sizes, nb, dtype, keep)
+        steps = _tensor_program(d, n, m, sizes, nb, dtype, keep)
     if not keep:
-        return program
-    program = tuple(program)
+        return regions, steps
+    program = regions, tuple(steps)
     with _plans_lock:
         _plans[key] = program, size
         while sum(kept for _, kept in _plans.values()) > PLAN_BYTES:
@@ -476,7 +498,7 @@ def _slice_sums(w: np.ndarray, entries: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _matrix_terms(stack: np.ndarray, m: int, sizes):
+def _matrix_terms(stack: np.ndarray, m: int, regions, steps):
     """(u, lead, r, e1) for each co-subset block of a stack of B matrices; see _ryser_stack.
 
     Column b K + j of a block is co-subset j of matrix b. The matrices sit
@@ -508,22 +530,13 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     are views of the workspace.
     """
     nb, n = stack.shape[:2]
-    caps = [k for k, _ in sizes]
-    wide = nb * max(caps)
     a = stack.transpose(1, 0, 2).reshape(n, nb * n)
     a = np.concatenate((a, a.sum(axis=0)[None]))
     # entry (i, c) of a at c (n + 1) + i, so a gather adds the rows to one offset
     a_t = a.T.ravel()
-    # the top order's factors and the entries removed from factors, which
-    # also hold gathered columns for the row sums; the lead and e_1; the
-    # factors kept at each size below m, and the row sums carried at sizes
-    # 1..m-2
-    carried = caps[1 : max(m - 1, 1)]
-    regions = [2 * m * wide, wide, wide]
-    regions += [(u + 1) * nb * k for u, k in enumerate(caps[1:m], 1)]
-    regions += [(n + 1) * nb * k for k in carried]
+    # the regions in the order of _program
     scratch, product, first, *held = _buffers("terms", np.complex128, regions)
-    kept, removed = scratch[: m * wide], scratch[m * wide :]
+    kept, removed = scratch[: m * len(first)], scratch[m * len(first) :]
     held, levels = held[: max(m - 1, 0)], held[max(m - 1, 0) :]
     # row sums ((n + 1) x B K) and factors of the last block at each size;
     # row n of the row sums, and row 0 of the factors, is T
@@ -531,7 +544,7 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
     kept_factors = [carry[0][n:]] + [None] * m
     yield 0, np.ones(nb), carry[0][:n], None
     # the gathers clip; the module docstring says why, and where they are checked
-    for u, k, up, at_r, cut_r, at_a, col, zero in _program(2, n, m, sizes, nb):
+    for u, k, up, at_r, cut_r, at_a, col, zero in steps:
         c, top = nb * k, int(u == m)
         # T and the old rows' factors from the parent's; order m needs no T
         factors = _shaped(kept if top else held[u - 1], len(at_a), c)
@@ -568,7 +581,7 @@ def _matrix_terms(stack: np.ndarray, m: int, sizes):
         yield u, lead, r[:n], e1
 
 
-def _tensor_terms(stack: np.ndarray, m: int, sizes):
+def _tensor_terms(stack: np.ndarray, m: int, regions, steps):
     """(u, lead, r, None) for each (co-subset block, pattern block) of a stack of B tensors.
 
     A removed index's slice depends on the sets removed on the other axes,
@@ -589,14 +602,9 @@ def _tensor_terms(stack: np.ndarray, m: int, sizes):
     for t in range(2, d + 1):
         ext = np.concatenate((ext, ext.sum(axis=t, keepdims=True)), axis=t)
     ext = ext.ravel()
-    # entries gathered, and slice sums formed, for each row of a block of each size
-    gather = [nb * k * (u + 1) ** (d - 1) for u, (k, _) in enumerate(sizes)]
-    slices = [nb * k * npb for k, npb in sizes]
-    lead_in, all_in, summed, product = _buffers(
-        "terms", np.complex128, [m * max(gather), n * max(gather), n * max(slices), max(slices)]
-    )
+    lead_in, all_in, summed, product = _buffers("terms", np.complex128, regions)
     # the gathers clip; the module docstring says why, and where they are checked
-    for u, k, lead_at, all_at, rows, patterns in _program(d, n, m, sizes, nb):
+    for u, k, lead_at, all_at, rows, patterns in steps:
         lead_entries = ext.take(lead_at, out=_shaped(lead_in, *lead_at.shape), mode="clip")
         if all_at is not None:
             all_entries = ext.take(all_at, out=_shaped(all_in, *all_at.shape), mode="clip")
@@ -628,12 +636,9 @@ def _ryser_stack(stack: np.ndarray, m: int) -> np.ndarray:
     so repeated calls give bit-identical results.
     """
     nb, d, n = len(stack), stack.ndim - 1, stack.shape[1]
-    sizes = [_block_sizes(n, (1 << (d - 1)) - 1, u) for u in range(m + 1)]
-    terms = _matrix_terms(stack, m, sizes) if d == 2 else _tensor_terms(stack, m, sizes)
-    # e_0..e_(m-u) and one recurrence step for the widest block of each size u
-    widths = [(m - u, nb * k * npb) for u, (k, npb) in enumerate(sizes)]
-    regions = [max((j + 1) * w for j, w in widths), max(j * w for j, w in widths)]
-    powers, step = _buffers("recurrence", np.complex128, regions)
+    (regions, recurrence), steps = _program(d, n, m, nb)
+    terms = (_matrix_terms if d == 2 else _tensor_terms)(stack, m, regions, steps)
+    powers, step = _buffers("recurrence", np.complex128, recurrence)
     sums = np.zeros((nb, m + 1), dtype=np.complex128)
     # numpy gives every broadcast operand a fresh buffer of bufsize items
     bufsize = np.setbufsize(UFUNC_BUFFER)

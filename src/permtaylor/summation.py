@@ -17,14 +17,13 @@ class ComplexNeumaier:
         self.re = self.re_c = self.im = self.im_c = 0.0
 
     def add(self, z: complex) -> None:
-        self.re, self.re_c = _add(self.re, self.re_c, z.real)
-        self.im, self.im_c = _add(self.im, self.im_c, z.imag)
+        # each branch recovers the rounding error of s + x exactly
+        s, x = self.re, z.real
+        self.re = t = s + x
+        self.re_c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s, x = self.im, z.imag
+        self.im = t = s + x
+        self.im_c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
 
     def value(self) -> complex:
         return complex(self.re + self.re_c, self.im + self.im_c)
-
-
-def _add(s: float, c: float, x: float) -> tuple[float, float]:
-    t = s + x
-    # the branch recovers the rounding error of s + x exactly
-    return t, c + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)

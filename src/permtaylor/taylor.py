@@ -56,7 +56,9 @@ which is kept honest by explicit work caps instead of silent truncation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +70,16 @@ from .core import (
     SizeCapError,
     _is_int,
     as_tensor,
-    identity_tensor,
+    diagonal_entries,
     pair,
     rounding_gamma,
 )
 from .dominance import (
     check_dominance_tensor,
-    diagonal_normal_form,
+    magnitude_lambda,
     require_admissible,
     require_finite,
-    scaled_lambda,
+    split_diagonal,
 )
 from .engine import BLOCK_ENTRIES, minor_sum_work, minor_sums
 from .summation import ComplexNeumaier
@@ -206,36 +208,34 @@ def _reach(adj: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of the digraph adj[i, j], as bools.
 
     Squares the 0/1 matrix of I + adj until it stops changing, at most
-    log2(n) products; each sums non-negative terms, so > 0 reads every
-    path exactly.
+    log2(n) products; each sums non-negative terms, so its sign reads
+    every path exactly.
     """
-    r = (adj | np.eye(len(adj), dtype=bool)).astype(np.float32)
+    r = adj.astype(np.float32)
+    r.flat[:: len(r) + 1] = 1.0
     while True:
-        s = (r @ r > 0).astype(np.float32)
-        if np.array_equal(s, r):
+        s = np.sign(r @ r)
+        if (s == r).all():
             return s > 0
         r = s
 
 
 def _strong_components(adj: np.ndarray) -> np.ndarray:
-    """Strong-component label of each vertex of the digraph adj[i, j].
-
-    Labels number the components in order of their smallest vertex, which
-    is the first vertex that each vertex reaches and is reached from.
-    """
+    """The root of each vertex's strong component in the digraph adj[i, j]:
+    its smallest vertex, the first that the vertex reaches and is reached from."""
     reach = _reach(adj)
-    first = (reach & reach.T).argmax(axis=1)
-    return (np.cumsum(first == np.arange(len(adj))) - 1)[first]
+    return (reach & reach.T).argmax(axis=1)
 
 
-def _digraph(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
-    adj[tails, heads] = True
-    return adj
+def _arcs(keep: np.ndarray) -> list[np.ndarray]:
+    """G_1, ..., G_{d-1} as n x n bools: i -> j_t for each kept a[i, j_1, ..., j_{d-1}]."""
+    d = keep.ndim
+    return [keep.any(axis=tuple(s for s in range(1, d) if s != t)) for t in range(1, d)]
 
 
-def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The support's strong components: (array, vertex groups).
+def _components(arr: np.ndarray) -> tuple[np.ndarray, list]:
+    """The support's strong components: (array, vertex groups), each group
+    its vertices in increasing order.
 
     G_t is the digraph with an arc i -> j_t for each nonzero entry
     a[i, j_1, ..., j_{d-1}]. Every cycle of the t-th permutation in a term
@@ -245,31 +245,31 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     of the other G_t. The groups are then the strong components of the
     union of the G_t, in order of their smallest vertex, and PER(I + zA)
     is the product of PER(I + zA_C) over the principal subarrays A_C of
-    the returned array. When there is one group, the array is arr itself;
-    an array with no zero entry is one group at once.
+    the returned array, which holds +0.0 at every entry it does not keep.
+    When there is one group, the array is arr itself; an array with no
+    zero entry is one group at once.
     """
     d, n = arr.ndim, arr.shape[0]
     if np.count_nonzero(arr) == arr.size:
         # every G_t is complete: one component, and every entry is on a term
-        return arr, [np.arange(n)]
-    idx = np.nonzero(arr)
-    keep = np.ones(len(idx[0]), dtype=bool)
+        return arr, [range(n)]
+    keep = arr != 0
+    arcs = [keep] if d == 2 else _arcs(keep)
     while d > 2:
         kept = keep.copy()
-        for heads in idx[1:]:
+        for t, g in enumerate(arcs, 1):
             # i -> j_t is an arc, so they share a component when j_t reaches i
-            kept &= _reach(_digraph(n, idx[0][keep], heads[keep]))[heads, idx[0]]
+            kept &= _reach(g).T.reshape([n if s in (0, t) else 1 for s in range(d)])
         if kept.sum() == keep.sum():
             break
-        keep = kept
-    tails = np.tile(idx[0][keep], d - 1)
-    label = _strong_components(_digraph(n, tails, np.concatenate([h[keep] for h in idx[1:]])))
-    if not label.any():
-        return arr, [np.arange(n)]
-    pruned = np.zeros_like(arr)
-    at = tuple(i[keep] for i in idx)
-    pruned[at] = arr[at]
-    return pruned, [np.flatnonzero(label == c) for c in range(label.max() + 1)]
+        keep, arcs = kept, _arcs(kept)
+    # a root is the first vertex of its group, so the groups come in order
+    groups: dict[int, list[int]] = {}
+    for v, root in enumerate(_strong_components(functools.reduce(np.logical_or, arcs)).tolist()):
+        groups.setdefault(root, []).append(v)
+    if len(groups) == 1:
+        return arr, [range(n)]
+    return np.where(keep, arr, 0), list(groups.values())
 
 
 def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None):
@@ -289,45 +289,47 @@ def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None):
     an overflow in any step leaves some sum non-finite. `parts` is
     _components(arr) when the caller has it already.
     """
-    d = arr.ndim
     reduced, groups = _components(arr) if parts is None else parts
-    sizes = tuple(len(g) for g in groups)
-    orders = [min(m, size) for size in sizes]
-    work = sum(minor_sum_work(size, d, k) for size, k in zip(sizes, orders))
+    sizes = tuple(map(len, groups))
+    work = sum(sizes.count(s) * minor_sum_work(s, arr.ndim, min(m, s)) for s in set(sizes))
     if work > work_cap:
         raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
     with np.errstate(over="ignore", invalid="ignore"):
         if len(groups) == 1:
-            sums = [complex(c) for c in minor_sums(arr[None], m)[0]]
+            sums = minor_sums(arr[None], m)[0].tolist()
         else:
-            sums = _component_product(reduced, groups, orders, m)
+            sums = _component_product(reduced, groups, sizes, m)
     for k, c in enumerate(sums):
         if not cmath.isfinite(c):
             raise ValueError(f"minor sum c_{k} overflows float64")
     return sums, sizes
 
 
-def _component_product(reduced: np.ndarray, groups, orders, m: int) -> list[complex]:
-    """Coefficients 0..m of the product of the components' polynomials."""
+def _component_product(reduced: np.ndarray, groups, sizes, m: int) -> list[complex]:
+    """Coefficients 0..m of the product of the components' polynomials.
+
+    The components of each size are gathered as one stack, in one
+    indexing call. Coefficient i of each product sums c_j p_(i-j) over
+    j = 0.. in that order, from 0.
+    """
     d = reduced.ndim
-    # component indices by size; with m fixed, the size also fixes the order
-    by_size: dict[int, list[int]] = {}
-    for c, group in enumerate(groups):
-        by_size.setdefault(len(group), []).append(c)
     parts = [None] * len(groups)
-    for size, members in by_size.items():
-        stack = np.stack([reduced[np.ix_(*(groups[c],) * d)] for c in members])
-        for c, row in zip(members, minor_sums(stack, min(m, size))):
-            parts[c] = [complex(x) for x in row]
+    # with m fixed, the size also fixes the order
+    for size in dict.fromkeys(sizes):
+        members = [c for c, s in enumerate(sizes) if s == size]
+        at = np.array([groups[c] for c in members])
+        axes = [at.reshape((len(at),) + (1,) * t + (size,) + (1,) * (d - 1 - t)) for t in range(d)]
+        for c, row in zip(members, minor_sums(reduced[tuple(axes)], min(m, size)).tolist()):
+            parts[c] = row
     sums = [complex(1.0)] + [complex(0.0)] * m
-    for c, k in zip(parts, orders):
-        sums = [sum(c[j] * sums[i - j] for j in range(min(i, k) + 1)) for i in range(m + 1)]
+    for c in parts:
+        sums = [sum(map(operator.mul, c, sums[i::-1])) for i in range(m + 1)]
     return sums
 
 
-def _nonempty_tensor(a) -> np.ndarray:
+def _nonempty_tensor(a, finite: bool = True) -> np.ndarray:
     """as_tensor for the Taylor path, which expands around I and so needs n >= 1."""
-    arr = as_tensor(a)
+    arr = as_tensor(a, finite)
     if arr.shape[0] == 0:
         raise ValueError(f"empty array of shape {arr.shape}: n must be positive")
     return arr
@@ -397,7 +399,8 @@ def approx_log_permanent(
     An order above MAX_ORDER raises SizeCapError before any minor sum.
     `threads` is accepted for compatibility and has no effect.
     """
-    arr = _nonempty_tensor(a)
+    # check_dominance_tensor checks the entries through their slice masses
+    arr = _nonempty_tensor(a, finite=False)
     report = require_admissible(arr)
     if cfg.lam is not None and report.effective_lambda > cfg.lam:
         raise InadmissibleInputError(
@@ -417,13 +420,19 @@ def approx_log_permanent(
     if saving >= BLOCK_ENTRIES:
         # the diagonal goes into an exact prefactor; the rest is expanded
         # instead of A only when the exact tail at its scaled lambda lowers
-        # the order
-        normal = diagonal_normal_form(identity_tensor(arr.ndim, n) + parts[0])
-        split_lam, split_m = scaled_lambda(normal.a)[0], m
-        while split_m > 0 and (tail := exact_tail_bound(n, split_lam, split_m - 1)) <= cfg.epsilon:
+        # the order. Off the diagonal A + 0.0 is I + A bit for bit: both
+        # turn a -0.0 into +0.0.
+        split, split_prefactor = split_diagonal(parts[0] + 0.0, diagonal_entries(parts[0]) + 1.0)
+        split_lam, split_m = magnitude_lambda(np.abs(split))[0], m
+        # the tail at m - 1 is at least its first term, rounded as it rounds it
+        while (
+            split_m > 0
+            and n * (split_lam**split_m / split_m) <= cfg.epsilon
+            and (tail := exact_tail_bound(n, split_lam, split_m - 1)) <= cfg.epsilon
+        ):
             split_m, split_bound = split_m - 1, tail
         if split_m < m:
-            parts, log_prefactor = (normal.a, parts[1]), normal.log_prefactor
+            parts, log_prefactor = (split, parts[1]), split_prefactor
             lam, m, bound = split_lam, split_m, split_bound
     if m > MAX_ORDER:
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")

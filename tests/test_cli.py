@@ -15,6 +15,7 @@ from permtaylor import (
     ApproxConfig,
     approx_log_permanent,
     dominance,
+    engine,
     hypergraph,
     identity_tensor,
     json_dumps,
@@ -63,6 +64,34 @@ def test_approx_reports_components(tmp_path, cli):
     code, out, err = cli("approx", str(path))
     assert code == 0, err
     assert err.startswith("n = 18, components 9 (largest 2), order m = 6, ")
+
+
+def test_cached_per_shape_state_does_not_leak_between_calls(tmp_path, cli, capsys):
+    # the engine keeps each shape's program and workspace regions, and the
+    # renderer its formats, for later calls; a call must print what it
+    # prints alone in a fresh interpreter, whichever calls came before
+    gens = {
+        "dense": ["matrix", "--n", "16", "--lambda", "0.4", "--seed", "1"],
+        "block": ["block", "--n", "18", "--lambda", "0.4", "--sign", "minus"],
+        "tensor": ["tensor", "--d", "3", "--n", "5", "--lambda", "0.5", "--seed", "2"],
+    }
+    paths, alone = {}, {}
+    for name, argv in gens.items():
+        code, out, err = cli("gen", *argv)
+        assert code == 0, err
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(out)
+        alone[name] = cli("approx", str(paths[name]))
+    # above the order gate at m = 5; nine stacked components; full degree
+    assert json.loads(alone["dense"][1])["m"] == 5
+    assert alone["block"][2].startswith("n = 18, components 9 (largest 2), order m = 6, ")
+    assert json.loads(alone["tensor"][1])["m"] > 5
+    engine._plans.clear()
+    for order in (["dense", "block", "tensor"], ["tensor", "block", "dense"]):
+        for _ in range(2):
+            for name in order:
+                code = cli_module.run(["approx", str(paths[name])])
+                assert (code, *capsys.readouterr()) == alone[name], name
 
 
 def test_exact_raw_flag(tmp_path, cli):

@@ -123,14 +123,14 @@ def test_strong_components_match_the_transitive_closure(case):
         n = 1 + case % 11
         adj = rng.random((n, n)) < rng.uniform(0.0, 0.4)
     n = len(adj)
-    label = _strong_components(adj)
+    root = _strong_components(adj)
     reach = np.eye(n, dtype=int) | adj
     for _ in range(n):
         reach = ((reach @ reach) > 0).astype(int)
     assert (_reach(adj) == reach.astype(bool)).all()
-    assert ((label[:, None] == label[None, :]) == (reach & reach.T).astype(bool)).all()
-    smallest = [np.flatnonzero(label == c)[0] for c in range(label.max() + 1)]
-    assert smallest == sorted(smallest)
+    assert ((root[:, None] == root[None, :]) == (reach & reach.T).astype(bool)).all()
+    # each component's root is its smallest vertex
+    assert (root <= np.arange(n)).all() and (root[root] == root).all()
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (4, 2), (5, 3), (7, 4), (8, 5), (9, 6)])
@@ -205,3 +205,50 @@ def test_zero_scan_of_a_reducible_matrix_uses_the_full_polynomial():
     z = np.linspace(0.0, 2.0, 9)[:, None] * np.exp(1j * thetas)
     moduli = np.abs(sum(c * z**k for k, c in enumerate(want)))
     assert np.allclose(report.moduli, moduli, rtol=1e-12, atol=1e-12)
+
+
+def _signed_zero_support(rng, n, density):
+    """A sparse complex n x n support whose entries carry signed zeros:
+    some nonzero entries have a -0.0 part, and some zero entries are
+    -0.0 - 0.0j, which the reduced copy must hold as +0.0."""
+    a = _complex(rng, (n, n)) * (rng.random((n, n)) < density)
+    a.imag[rng.random((n, n)) < 0.3] = -0.0
+    a[a == 0] = complex(-0.0, -0.0)
+    return a
+
+
+ORACLE_CASES = {
+    **{
+        f"random-{n}-{density}-{seed}": (n, density, seed)
+        for n, density, seed in itertools.product([1, 2, 7, 23, 40], [0.02, 0.06, 0.15], [1, 2])
+    },
+    "block-18": block_extremal_matrix(18, 0.4, -1),
+    "block-60": block_extremal_matrix(60, 0.4, -1),
+    "path": 0.5 * np.eye(12, k=1, dtype=complex),
+    "cycle": 0.5 * np.roll(np.eye(12, dtype=complex), 1, axis=1),
+    "zero": np.full((9, 9), complex(-0.0, -0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_components_match_networkx_strong_components(case):
+    nx = pytest.importorskip("networkx")
+    a = ORACLE_CASES[case]
+    if isinstance(a, tuple):
+        n, density, seed = a
+        a = _signed_zero_support(np.random.default_rng(seed), n, density)
+    n = len(a)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(*np.nonzero(a)))
+    want = sorted(sorted(c) for c in nx.strongly_connected_components(graph))
+    reduced, groups = _components(a)
+    assert [list(g) for g in groups] == want
+    # one group keeps the array; more keep every nonzero entry's bits and
+    # hold +0.0 at every zero
+    if len(want) == 1:
+        assert reduced is a
+    else:
+        copy = np.zeros_like(a)
+        copy[a != 0] = a[a != 0]
+        assert reduced.tobytes() == copy.tobytes()

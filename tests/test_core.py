@@ -175,6 +175,72 @@ def test_float_list_rendering_property():
     check()
 
 
+def _reference_dumps(obj) -> str:
+    """json_dumps written out item by item: each float by format(x, ".17g")."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_reference_dumps, obj)) + "]"
+    items = (_reference_dumps(str(k)) + ": " + _reference_dumps(v) for k, v in obj.items())
+    return "{" + ", ".join(items) + "}"
+
+
+def test_json_dumps_matches_a_reference_renderer():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.7e308, 1.7e308, 1.7976931348623157e308]
+    ) | st.floats(allow_nan=False, allow_infinity=False)
+    leaves = (
+        st.none() | st.booleans() | st.integers() | floats | st.text(max_size=8)
+        | st.lists(floats, min_size=2, max_size=2)
+        | st.lists(floats, min_size=64, max_size=64)
+    )
+    docs = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                    max_size=6),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(database=None, deadline=None, max_examples=150)
+    @hypothesis.given(docs)
+    def check(doc):
+        assert json_dumps(doc) == _reference_dumps(doc)
+
+    @hypothesis.settings(database=None, deadline=None, max_examples=60)
+    @hypothesis.given(docs, st.sampled_from([math.nan, math.inf, -math.inf]), st.randoms())
+    def check_non_finite(doc, bad, rnd):
+        # the non-finite float goes into a random list of the document, or wraps it
+        lists = []
+        todo = [doc]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, list):
+                lists.append(x)
+            todo.extend(x if isinstance(x, list) else x.values() if isinstance(x, dict) else [])
+        if lists:
+            target = rnd.choice(lists)
+            target.insert(rnd.randrange(len(target) + 1), bad)
+        else:
+            doc = [doc, bad]
+        with pytest.raises(ValueError, match="non-finite"):
+            json_dumps(doc)
+
+    check()
+    check_non_finite()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_json_dumps_rejects_non_finite_floats(bad):
     for doc in ([1.0, bad], [[0.5, bad]], [1, bad], {"x": bad}):
