@@ -26,6 +26,7 @@ from .core import (
     SizeCapError,
     _entries_from_json,
     check_sizes,
+    dense_entries_exceed,
     identity_tensor,
     json_dumps,
     matrix_from_json,
@@ -111,16 +112,8 @@ def _cmd_exact(args) -> dict:
         # instance files carry the perturbation A; the quantity every other
         # command addresses is per(I + A)
         arr = arr + identity_tensor(arr.ndim, arr.shape[0])
-    if arr.ndim == 2:
-        # each Gray-code step updates n row sums and multiplies them
-        steps = arr.shape[0] ** 2 << arr.shape[0]
-        if steps > args.work_cap:
-            raise SizeCapError(
-                f"Ryser permanent needs n^2 2^n = {steps} steps, cap is {args.work_cap}"
-            )
-        value = permanent_ryser(arr)
-    else:
-        value = permanent_tensor(arr, product_cap=args.work_cap)
+    # each exact engine takes its one cap second: Ryser steps or tensor products
+    value = (permanent_ryser if arr.ndim == 2 else permanent_tensor)(arr, args.work_cap)
     if not np.isfinite(value):
         name = ("per" if arr.ndim == 2 else "PER") + ("(A)" if args.raw else "(I + A)")
         raise ValueError(f"the permanent {name} overflows float64")
@@ -187,10 +180,9 @@ def _cmd_gen(args) -> dict:
     if args.kind != "hypergraph":
         if not (math.isfinite(args.lam) and args.lam > 0):
             raise ValueError(f"--lambda must be finite and positive, got {args.lam}")
-        # the array is drawn whole, so its n^d entries are charged first; any
-        # n >= 2 passes the cap by d = its bit length, so no huge power is formed
+        # the array is drawn whole, so its n^d entries are charged first
         d = args.d if args.kind == "tensor" else 2
-        if args.n ** min(d, WORK_CAP.bit_length()) > WORK_CAP:
+        if dense_entries_exceed(args.n, d, WORK_CAP):
             raise SizeCapError(
                 f"gen {args.kind} needs n^d = {args.n}^{d} entries, cap is {WORK_CAP}"
             )

@@ -195,6 +195,11 @@ def check_sizes(d, n) -> tuple[int, int]:
     return d, n
 
 
+def dense_entries_exceed(n: int, d: int, cap) -> bool:
+    """Whether n^d > cap, without a huge power: any n >= 2 passes cap by d = its bit length."""
+    return n ** min(d, int(cap).bit_length()) > cap
+
+
 def _array_from_json(obj, kind: str, d: int | None = None) -> np.ndarray:
     d, n = json_header(obj, kind, "entries", d)
     return _entries_from_json(obj["entries"], n**d).reshape((n,) * d)

@@ -679,9 +679,11 @@ def minor_sums(stack: np.ndarray, m: int) -> np.ndarray:
     row b holds the sums of stack[b], bit for bit those of a stack of
     stack[b] alone. The stack runs in passes of at most _batch_limit arrays.
     """
+    d, n = stack.ndim - 1, stack.shape[1]
+    if not 0 <= m <= n:
+        raise ValueError(f"order m = {m} must satisfy 0 <= m <= n = {n}")
     if len(stack) == 1:
         return _ryser_stack(stack, m)
-    d, n = stack.ndim - 1, stack.shape[1]
     step = _batch_limit(n, (1 << (d - 1)) - 1, m)
     passes = [_ryser_stack(stack[s : s + step], m) for s in range(0, len(stack), step)]
     return np.concatenate(passes)

@@ -27,7 +27,8 @@ import numpy as np
 from .core import SizeCapError, _is_int, as_matrix, as_tensor, diagonal_index
 from .summation import ComplexNeumaier
 
-RYSER_CAP = 30
+# n^2 2^n Ryser steps at n = 30, so the default step_cap admits n <= 30
+RYSER_STEP_CAP = 30**2 << 30
 TENSOR_PRODUCT_CAP = 10**8
 BRANCH_STEPS = 64
 BRANCH_HALVINGS = 30
@@ -100,12 +101,13 @@ def _tensor_core(nested, n: int, d: int) -> complex:
     return acc.value()
 
 
-def permanent_ryser(a) -> complex:
-    """Permanent by Ryser inclusion-exclusion, O(n 2^n), for n <= RYSER_CAP."""
+def permanent_ryser(a, step_cap: int = RYSER_STEP_CAP) -> complex:
+    """Permanent by Ryser inclusion-exclusion, for n^2 2^n <= step_cap: each
+    of the 2^n steps of its Gray-code walk updates n row sums and multiplies them."""
     arr = as_matrix(a)
-    n = arr.shape[0]
-    if n > RYSER_CAP:
-        raise SizeCapError(f"Ryser permanent capped at n <= {RYSER_CAP}, got n = {n}")
+    steps = arr.shape[0] ** 2 << arr.shape[0]
+    if steps > step_cap:
+        raise SizeCapError(f"Ryser permanent needs n^2 2^n = {steps} steps, cap is {step_cap}")
     return _ryser_core(arr.tolist())
 
 

@@ -32,6 +32,7 @@ from .core import (
     InvalidMatchingError,
     SizeCapError,
     check_sizes,
+    dense_entries_exceed,
     diagonal_index,
     json_header,
     pair,
@@ -234,8 +235,7 @@ def matching_stats(
             "normalize_base_matching first"
         )
     delta = max(h.first_part_degrees())
-    # any n >= 2 passes the cap by d = its bit length, so no huge power is formed
-    if h.n ** min(h.d, int(work_cap).bit_length()) > work_cap:
+    if dense_entries_exceed(h.n, h.d, work_cap):
         raise SizeCapError(
             f"dense encoding of the hypergraph needs n^d = {h.n}^{h.d} tensor entries, "
             f"cap is {work_cap}"

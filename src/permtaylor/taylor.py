@@ -12,11 +12,10 @@ The derivatives of g at 0 are principal-minor sums,
     g^(k)(0) = k! sum_{|I| = k} per A_I,
 
 computed by the minor-sum engine (engine.py), Ryser's inclusion-exclusion
-truncated at order k, once for each strong component of the support (see
-_minor_sums); the
-log-derivatives f^(k)(0) follow by forward substitution
-through the triangular convolution that links a function with its
-logarithm. The identical scheme covers cubical tensors:
+truncated at order k, once for each strong component of the support
+(components.py); the log-derivatives f^(k)(0) follow by forward
+substitution through the triangular convolution that links a function
+with its logarithm. The identical scheme covers cubical tensors:
 PER(I + z A) also has degree at most n in z, so the same tail bound is
 used with the axis-0 slice sums supplying lam.
 
@@ -41,13 +40,14 @@ the same holds after any rescaling. And lam may be any lambda of a
 rescaled array with the same PER(I + zA'): dominance.scaled_lambda
 gives the Perron root rho(|A'|) for a matrix and the NQZ eigenvalue for
 a tensor. So the lambda of A' is never above that of A, and is below it
-by about the diagonal's share of the mass. The gate is the work that
-order m - 1 would save, counted per component as _minor_sums charges
-it. At least engine.BLOCK_ENTRIES (one block's temporary) tries the
-split, the scaled lambda and the exact tail, and takes them when they
-bring the tail within epsilon at a lower order. Otherwise, and below
-the gate, the order, the bound and every byte of the JSON are those of
-A, the raw lambda and the bound above.
+by about the diagonal's share of the mass. The gate is the engine work
+that order m - 1 would save, charge(m) - charge(m - 1) with the charge
+of components.py that the work cap also reads. At least
+engine.BLOCK_ENTRIES (one block's temporary) tries the split, the
+scaled lambda and the exact tail, and takes them when they bring the
+tail within epsilon at a lower order. Otherwise, and below the gate,
+the order, the bound and every byte of the JSON are those of A, the raw
+lambda and the bound above.
 
 Cost is quasi-polynomial in n (the order m grows like ln n - ln epsilon),
 which is kept honest by explicit work caps instead of silent truncation.
@@ -56,13 +56,12 @@ which is kept honest by explicit work caps instead of silent truncation.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .components import _components, charge, component_sums
 from .core import (
     ApproxConfig,
     InadmissibleInputError,
@@ -81,7 +80,7 @@ from .dominance import (
     require_finite,
     split_diagonal,
 )
-from .engine import BLOCK_ENTRIES, minor_sum_work, minor_sums
+from .engine import BLOCK_ENTRIES
 from .summation import ComplexNeumaier
 
 WORK_CAP = 10**9
@@ -102,7 +101,7 @@ class TaylorResult:
     (module docstring), g is PER(I + z A') of the diagonal normal form A'
     of I + A, and value adds sum_i ln(1 + a_{i...i}) to T_m(1).
     components lists the sizes of the strong components that the minor
-    sums factor over (see _components), in order of their smallest
+    sums factor over (components.py), in order of their smallest
     vertex; lam is the lambda that error_bound holds for and raw_lam the
     largest raw slice mass, equal to lam unless the split is taken. None
     of the three is in the JSON.
@@ -198,135 +197,6 @@ def choose_order(n: int, lam: float, epsilon: float) -> int:
     return hi
 
 
-def _order_saving(sizes, d: int, m: int) -> int:
-    """Engine work that order m - 1 saves against order m, per component as
-    _minor_sums charges it: a component with n_C < m runs at n_C either way."""
-    return sum(minor_sum_work(s, d, m) - minor_sum_work(s, d, m - 1) for s in sizes if s >= m)
-
-
-def _reach(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of the digraph adj[i, j], as bools.
-
-    Squares the 0/1 matrix of I + adj until it stops changing, at most
-    log2(n) products; each sums non-negative terms, so its sign reads
-    every path exactly.
-    """
-    r = adj.astype(np.float32)
-    r.flat[:: len(r) + 1] = 1.0
-    while True:
-        s = np.sign(r @ r)
-        if (s == r).all():
-            return s > 0
-        r = s
-
-
-def _strong_components(adj: np.ndarray) -> np.ndarray:
-    """The root of each vertex's strong component in the digraph adj[i, j]:
-    its smallest vertex, the first that the vertex reaches and is reached from."""
-    reach = _reach(adj)
-    return (reach & reach.T).argmax(axis=1)
-
-
-def _arcs(keep: np.ndarray) -> list[np.ndarray]:
-    """G_1, ..., G_{d-1} as n x n bools: i -> j_t for each kept a[i, j_1, ..., j_{d-1}]."""
-    d = keep.ndim
-    return [keep.any(axis=tuple(s for s in range(1, d) if s != t)) for t in range(1, d)]
-
-
-def _components(arr: np.ndarray) -> tuple[np.ndarray, list]:
-    """The support's strong components: (array, vertex groups), each group
-    its vertices in increasing order.
-
-    G_t is the digraph with an arc i -> j_t for each nonzero entry
-    a[i, j_1, ..., j_{d-1}]. Every cycle of the t-th permutation in a term
-    of PER(I + zA) is a cycle of G_t, so an entry whose j_t lies outside
-    the strong component of i in G_t is on no term. For d >= 3 such
-    entries are zeroed until none is left (pruning), which may cut cycles
-    of the other G_t. The groups are then the strong components of the
-    union of the G_t, in order of their smallest vertex, and PER(I + zA)
-    is the product of PER(I + zA_C) over the principal subarrays A_C of
-    the returned array, which holds +0.0 at every entry it does not keep.
-    When there is one group, the array is arr itself; an array with no
-    zero entry is one group at once.
-    """
-    d, n = arr.ndim, arr.shape[0]
-    if np.count_nonzero(arr) == arr.size:
-        # every G_t is complete: one component, and every entry is on a term
-        return arr, [range(n)]
-    keep = arr != 0
-    arcs = [keep] if d == 2 else _arcs(keep)
-    while d > 2:
-        kept = keep.copy()
-        for t, g in enumerate(arcs, 1):
-            # i -> j_t is an arc, so they share a component when j_t reaches i
-            kept &= _reach(g).T.reshape([n if s in (0, t) else 1 for s in range(d)])
-        if kept.sum() == keep.sum():
-            break
-        keep, arcs = kept, _arcs(kept)
-    # a root is the first vertex of its group, so the groups come in order
-    groups: dict[int, list[int]] = {}
-    for v, root in enumerate(_strong_components(functools.reduce(np.logical_or, arcs)).tolist()):
-        groups.setdefault(root, []).append(v)
-    if len(groups) == 1:
-        return arr, [range(n)]
-    return np.where(keep, arr, 0), list(groups.values())
-
-
-def _minor_sums(arr: np.ndarray, m: int, work_cap: int, parts=None):
-    """(c, sizes): c_k = sum over k-subsets I of PER A_I, for k = 0..m and any d >= 2.
-
-    PER(I + zA) factors over the strong components of its support
-    (_components), so the engine runs on each component C at order
-    min(m, n_C), and the cap is charged for that work. Components of one
-    size go to the engine as one stack; each one's sums are bit for bit
-    those of a stack of its own. The component polynomials are multiplied
-    in component order, each coefficient summed in a fixed order, which
-    keeps lower orders a bit-exact prefix of higher ones. A single
-    component runs the engine on arr itself, whose sums keep a -0.0 that
-    the product would turn into +0.0. The sizes n_C come in order of each
-    component's smallest vertex. A sum beyond float64 raises ValueError,
-    which names it; the engine's own overflow warnings are silenced, since
-    an overflow in any step leaves some sum non-finite. `parts` is
-    _components(arr) when the caller has it already.
-    """
-    reduced, groups = _components(arr) if parts is None else parts
-    sizes = tuple(map(len, groups))
-    work = sum(sizes.count(s) * minor_sum_work(s, arr.ndim, min(m, s)) for s in set(sizes))
-    if work > work_cap:
-        raise SizeCapError(f"minor-sum engine needs ~{work} ops, cap is {work_cap}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(groups) == 1:
-            sums = minor_sums(arr[None], m)[0].tolist()
-        else:
-            sums = _component_product(reduced, groups, sizes, m)
-    for k, c in enumerate(sums):
-        if not cmath.isfinite(c):
-            raise ValueError(f"minor sum c_{k} overflows float64")
-    return sums, sizes
-
-
-def _component_product(reduced: np.ndarray, groups, sizes, m: int) -> list[complex]:
-    """Coefficients 0..m of the product of the components' polynomials.
-
-    The components of each size are gathered as one stack, in one
-    indexing call. Coefficient i of each product sums c_j p_(i-j) over
-    j = 0.. in that order, from 0.
-    """
-    d = reduced.ndim
-    parts = [None] * len(groups)
-    # with m fixed, the size also fixes the order
-    for size in dict.fromkeys(sizes):
-        members = [c for c, s in enumerate(sizes) if s == size]
-        at = np.array([groups[c] for c in members])
-        axes = [at.reshape((len(at),) + (1,) * t + (size,) + (1,) * (d - 1 - t)) for t in range(d)]
-        for c, row in zip(members, minor_sums(reduced[tuple(axes)], min(m, size)).tolist()):
-            parts[c] = row
-    sums = [complex(1.0)] + [complex(0.0)] * m
-    for c in parts:
-        sums = [sum(map(operator.mul, c, sums[i::-1])) for i in range(m + 1)]
-    return sums
-
-
 def _nonempty_tensor(a, finite: bool = True) -> np.ndarray:
     """as_tensor for the Taylor path, which expands around I and so needs n >= 1."""
     arr = as_tensor(a, finite)
@@ -350,7 +220,7 @@ def perm_poly_derivs(a, m: int, threads: int = 1, work_cap: int = WORK_CAP) -> l
     n = arr.shape[0]
     if not 0 <= m <= n:
         raise ValueError(f"order m = {m} must lie in [0, {n}], the polynomial degree")
-    sums, _ = _minor_sums(arr, m, work_cap)
+    sums = component_sums(*_components(arr), m, work_cap)
     derivs = [math.factorial(k) * sums[k] for k in range(m + 1)]
     for k, g in enumerate(derivs):
         if not cmath.isfinite(g):
@@ -392,12 +262,10 @@ def approx_log_permanent(
     (InadmissibleInputError otherwise), and its measured effective lambda
     must not exceed cfg.lam unless that is None; the measured lambda sets
     both the order and the certified bound (tighter at no cost). Without
-    cfg.order_override, an order whose step down saves at least
-    BLOCK_ENTRIES of engine work is lowered where the scaled lambda of
-    the diagonal normal form and the exact tail allow it, and they then
-    also give the bound (module docstring).
-    An order above MAX_ORDER raises SizeCapError before any minor sum.
-    `threads` is accepted for compatibility and has no effect.
+    cfg.order_override, the diagonal split may lower the order above the
+    gate, and then gives the bound (module docstring). An order above
+    MAX_ORDER raises SizeCapError before any minor sum. `threads` is
+    accepted for compatibility and has no effect.
     """
     # check_dominance_tensor checks the entries through their slice masses
     arr = _nonempty_tensor(a, finite=False)
@@ -409,12 +277,13 @@ def approx_log_permanent(
         )
     lam = raw_lam = report.effective_lambda
     n = arr.shape[0]
-    parts = _components(arr)
+    array, groups = _components(arr)
+    sizes = tuple(map(len, groups))
     if cfg.order_override is not None:
         m, saving = cfg.order_override, 0
     else:
         m = choose_order(n, lam, cfg.epsilon)
-        saving = _order_saving(map(len, parts[1]), arr.ndim, m)
+        saving = charge(sizes, arr.ndim, m) - charge(sizes, arr.ndim, m - 1)
     bound = taylor_tail_bound(n, lam, m)
     log_prefactor = 0j
     if saving >= BLOCK_ENTRIES:
@@ -422,7 +291,7 @@ def approx_log_permanent(
         # instead of A only when the exact tail at its scaled lambda lowers
         # the order. Off the diagonal A + 0.0 is I + A bit for bit: both
         # turn a -0.0 into +0.0.
-        split, split_prefactor = split_diagonal(parts[0] + 0.0, diagonal_entries(parts[0]) + 1.0)
+        split, split_prefactor = split_diagonal(array + 0.0, diagonal_entries(array) + 1.0)
         split_lam, split_m = magnitude_lambda(np.abs(split))[0], m
         # the tail at m - 1 is at least its first term, rounded as it rounds it
         while (
@@ -432,14 +301,13 @@ def approx_log_permanent(
         ):
             split_m, split_bound = split_m - 1, tail
         if split_m < m:
-            parts, log_prefactor = (split, parts[1]), split_prefactor
+            array, log_prefactor = split, split_prefactor
             lam, m, bound = split_lam, split_m, split_bound
     if m > MAX_ORDER:
         raise SizeCapError(f"Taylor order m = {m} is above the limit of {MAX_ORDER}")
-    # g has degree at most n: derivatives beyond n vanish identically
-    m_g = min(m, n)
-    sums, sizes = _minor_sums(parts[0], m_g, work_cap, parts)
-    g = [math.factorial(k) * sums[k] for k in range(m_g + 1)] + [complex(0.0)] * (m - m_g)
+    # g has degree n: c_k is 0j beyond it, as product pads each row past n_C
+    sums = component_sums(array, groups, m, work_cap)
+    g = [math.factorial(k) * sums[k] for k in range(m + 1)]
     f = log_derivatives(g)
     acc = ComplexNeumaier()
     # +0j unless the split is taken, which leaves the sum's bits as they were
@@ -491,7 +359,7 @@ def zero_scan(
     if radius is None:
         lam = require_finite(check_dominance_tensor(arr)).effective_lambda
         radius = 0.99 / lam if lam > 0 else 1.0
-    sums, _ = _minor_sums(arr, arr.shape[0], work_cap)
+    sums = component_sums(*_components(arr), arr.shape[0], work_cap)
     radii = np.linspace(0.0, radius, radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from permtaylor import cli as cli_module
+from permtaylor import exact
 from permtaylor import (
     ApproxConfig,
     approx_log_permanent,
@@ -423,7 +424,7 @@ def test_exact_matrix_respects_work_cap(tmp_path, cli):
 
 def test_exact_matrix_cap_charges_every_row_sum(tmp_path, monkeypatch, capsys):
     # n = 22 needs n^2 2^n = 2.0e9 steps, above the default cap of 10^9
-    monkeypatch.setattr(cli_module, "permanent_ryser", lambda a: pytest.fail("Ryser ran"))
+    monkeypatch.setattr(exact, "_ryser_core", lambda rows: pytest.fail("Ryser ran"))
     path = tmp_path / "m.json"
     path.write_text(json_dumps(matrix_to_json(np.zeros((22, 22)))))
     assert cli_module.run(["exact", str(path)]) == 3
@@ -438,7 +439,7 @@ def test_exact_matrix_cap_charges_every_row_sum(tmp_path, monkeypatch, capsys):
 def test_zero_scan_charges_the_grid_before_any_work(matrix_file, monkeypatch, capsys, grid,
                                                     cap, steps):
     # Horner's rule over the n + 1 = 7 coefficients at every grid point
-    monkeypatch.setattr(taylor, "_minor_sums", lambda *a: pytest.fail("minor sums ran"))
+    monkeypatch.setattr(taylor, "component_sums", lambda *a: pytest.fail("minor sums ran"))
     assert cli_module.run(["zero-scan", "--grid", grid, *cap, str(matrix_file)]) == 3
     out, err = capsys.readouterr()
     limit = cap[1] if cap else taylor.WORK_CAP

@@ -21,8 +21,14 @@ from permtaylor import (
     principal_subtensor,
     zero_scan,
 )
+from permtaylor.components import (
+    _components,
+    _reach,
+    _strong_components,
+    charge,
+    component_sums,
+)
 from permtaylor.engine import minor_sum_work, minor_sums
-from permtaylor.taylor import _components, _minor_sums, _reach, _strong_components
 from permtaylor.generators import block_extremal_matrix, random_admissible_tensor
 
 
@@ -167,8 +173,7 @@ def test_pruning_repeats_until_nothing_changes():
     e = [1.0] + [0.0] * 4
     for x in diag:
         e = [e[0]] + [e[k] + x * e[k - 1] for k in range(1, 5)]
-    sums, sizes = _minor_sums(t, 4, 10**9)
-    assert sums == pytest.approx(e, abs=1e-15) and sizes == (1, 1, 1, 1)
+    assert component_sums(reduced, groups, 4, 10**9) == pytest.approx(e, abs=1e-15)
     _check_against_oracle(t)
 
 
@@ -179,7 +184,7 @@ def test_dense_arrays_are_one_component_and_run_unreduced(d, n):
     reduced, groups = _components(a)
     assert reduced is a and len(groups) == 1
     m = min(n, 5)
-    assert _minor_sums(a, m, 10**9) == ([complex(c) for c in minor_sums(a[None], m)[0]], (n,))
+    assert component_sums(a, groups, m, 10**9) == [complex(c) for c in minor_sums(a[None], m)[0]]
 
 
 def test_cap_is_charged_per_component():
@@ -252,3 +257,67 @@ def test_components_match_networkx_strong_components(case):
         copy = np.zeros_like(a)
         copy[a != 0] = a[a != 0]
         assert reduced.tobytes() == copy.tobytes()
+
+
+def _bits(values):
+    # float.hex tells -0.0 from +0.0, which == cannot
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, values)]
+
+
+def _lone_component(d, n, seed):
+    """One strong component whose entries carry -0.0 parts: dense for a
+    tensor, and for a matrix a sparse support with -0.0 - 0.0j zeros,
+    held together by a cycle."""
+    rng = np.random.default_rng(seed)
+    if d > 2:
+        a = _complex(rng, (n,) * d)
+        a.imag[rng.random(a.shape) < 0.5] = -0.0
+        return a
+    a = _signed_zero_support(rng, n, 0.2)
+    a[np.arange(n), np.roll(np.arange(n), -1)] = complex(-0.2, -0.0)
+    return a
+
+
+@pytest.mark.parametrize("d,n,seed", [(2, 1, 1), (2, 5, 2), (2, 8, 3), (3, 3, 4), (3, 4, 5)])
+def test_a_lone_component_is_the_engine_row_bit_for_bit(d, n, seed):
+    a = _lone_component(d, n, seed)
+    reduced, groups = _components(a)
+    assert reduced is a and len(groups) == 1
+    for m in range(n + 1):
+        sums = component_sums(reduced, groups, m, 10**9)
+        assert _bits(sums) == _bits(minor_sums(a[None], m)[0])
+
+
+MULTI_CASES = {
+    "sparse-12": lambda: _signed_zero_support(np.random.default_rng(7), 12, 0.15),
+    "sparse-9": lambda: _signed_zero_support(np.random.default_rng(8), 9, 0.1),
+    "block-18": lambda: block_extremal_matrix(18, 0.4, -1),
+    "triangular-8": lambda: _block_triangular_matrix(8, 9),
+    "pruned-3": lambda: _pruned_tensor(3, 5, 2),
+    "pruned-4": lambda: _pruned_tensor(4, 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_CASES))
+def test_components_multiply_in_order_bit_for_bit(case):
+    a = MULTI_CASES[case]()
+    n = a.shape[0]
+    reduced, groups = _components(a)
+    assert len(groups) > 1
+    for m in range(n + 1):
+        # each component's own row, multiplied into 1 in component order
+        want = [complex(1.0)] + [complex(0.0)] * m
+        for g in groups:
+            row = minor_sums(principal_subtensor(reduced, g)[None], min(m, len(g)))[0].tolist()
+            want = [sum(row[j] * want[i - j] for j in range(min(i, len(row) - 1) + 1))
+                    for i in range(m + 1)]
+        assert _bits(component_sums(reduced, groups, m, 10**9)) == _bits(want)
+
+
+@pytest.mark.parametrize("sizes", [(18,), (16,), (2,) * 9, (6, 1, 4, 6, 2), (3, 3, 5)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_order_saving_is_the_charge_of_the_step_down(sizes, d):
+    # a component with n_C < m runs at n_C at both orders, so it saves nothing
+    for m in range(max(sizes) + 2):
+        saving = sum(minor_sum_work(s, d, m) - minor_sum_work(s, d, m - 1) for s in sizes if s >= m)
+        assert charge(list(sizes), d, m) - charge(list(sizes), d, m - 1) == saving

@@ -168,10 +168,21 @@ def test_exact_log_permanent_caps_matrices_before_ryser_runs(monkeypatch):
         raise AssertionError(f"Ryser ran at n = {len(rows)}")
 
     monkeypatch.setattr(exact, "_ryser_core", ryser)
-    with pytest.raises(SizeCapError, match=f"n <= {exact.RYSER_CAP}, got n = 40"):
+    want = rf"n\^2 2\^n = {40**2 << 40} steps, cap is {exact.RYSER_STEP_CAP}$"
+    with pytest.raises(SizeCapError, match=want):
         exact_log_permanent(np.zeros((40, 40)))
-    with pytest.raises(AssertionError, match=f"n = {exact.RYSER_CAP}"):
-        exact_log_permanent(np.zeros((exact.RYSER_CAP,) * 2))
+    # the default step cap admits n = 30 and refuses n = 31
+    with pytest.raises(AssertionError, match="n = 30"):
+        exact_log_permanent(np.zeros((30, 30)))
+    with pytest.raises(SizeCapError, match=f"= {31**2 << 31} steps"):
+        permanent_ryser(np.zeros((31, 31)))
+
+
+def test_ryser_step_cap_charges_n_squared_2_to_the_n():
+    m = identity_tensor(2, 5)
+    assert permanent_ryser(m, step_cap=5**2 << 5) == 1
+    with pytest.raises(SizeCapError, match=r"needs n\^2 2\^n = 800 steps, cap is 799$"):
+        permanent_ryser(m, step_cap=799)
 
 
 def test_repeat_runs_are_bit_identical():

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import permtaylor.engine as engine
-import permtaylor.taylor as taylor
 
 from permtaylor import (
     ApproxConfig,
@@ -30,6 +29,7 @@ from permtaylor import (
     permanent_tensor,
     principal_subtensor,
 )
+from permtaylor.components import _components, component_sums
 from permtaylor.engine import _block_sizes, _co_subset_blocks, _pattern_blocks
 from permtaylor.generators import random_admissible_tensor
 from permtaylor.taylor import WORK_CAP
@@ -99,6 +99,13 @@ def test_tensor_levels_spanning_several_blocks_match_permanents():
 def test_order_zero_is_exactly_one(d, n):
     g = perm_poly_derivs(_array(d, n, 7), n)
     assert g[0] == 1 and isinstance(g[0], complex)
+
+
+@pytest.mark.parametrize("shape,m", [((1, 2, 2), 3), ((1, 3, 3, 3), 4), ((2, 3, 3), -1)])
+def test_engine_rejects_an_order_outside_0_to_n(shape, m):
+    want = rf"order m = {m} must satisfy 0 <= m <= n = {shape[1]}$"
+    with pytest.raises(ValueError, match=want):
+        engine.minor_sums(np.zeros(shape, complex), m)
 
 
 @pytest.mark.parametrize("d,n", [(2, 9), (2, 14), (3, 5), (4, 4)])
@@ -543,8 +550,9 @@ def test_batched_components_match_lone_calls_bit_for_bit(monkeypatch, d, size, s
         return rows
 
     monkeypatch.setattr(engine, "_ryser_stack", spy)
-    sums, sizes = taylor._minor_sums(_block_diagonal(blocks), m, WORK_CAP)
-    assert sizes == (size,) * len(blocks)
+    reduced, groups = _components(_block_diagonal(blocks))
+    assert [len(g) for g in groups] == [size] * len(blocks)
+    sums = component_sums(reduced, groups, m, WORK_CAP)
     assert [len(stack) for stack, _, _ in passes] == split
     lone = []
     for stack, order, rows in passes:
@@ -598,7 +606,7 @@ def test_engine_matches_exact_rational_sums(d, n):
         # alone, and as two components of one size, which share an engine pass
         for arr, (want, mag) in [(pair[0], exact[0]), (pair[1], exact[1]),
                                  (_block_diagonal(pair), both)]:
-            got, _ = taylor._minor_sums(np.asarray(arr, dtype=complex), m, WORK_CAP)
+            got = component_sums(*_components(np.asarray(arr, dtype=complex)), m, WORK_CAP)
             for k in range(m + 1):
                 err = abs(Fraction(got[k].real) - want[k]), abs(got[k].imag)
                 assert max(err) <= 1e-13 * (mag[k] + 1), (m, k, float(max(err)), float(mag[k]))

@@ -38,6 +38,7 @@ from permtaylor import (
     taylor_tail_bound,
     zero_scan,
 )
+from permtaylor.components import charge
 from permtaylor.generators import (
     block_extremal_matrix,
     random_admissible_tensor,
@@ -185,7 +186,7 @@ def test_poly_derivs_rejects_orders_that_are_not_ints_in_range(monkeypatch, m):
     def engine(*args):
         raise AssertionError("the engine ran")
 
-    monkeypatch.setattr(taylor, "_minor_sums", engine)
+    monkeypatch.setattr(taylor, "component_sums", engine)
     with pytest.raises(ValueError, match="order m"):
         perm_poly_derivs(np.zeros((3, 3)), m)
 
@@ -204,7 +205,7 @@ def test_taylor_path_rejects_the_empty_array_before_any_work(monkeypatch, call):
     def work(*args):
         raise AssertionError("work ran")
 
-    for name in ("_components", "_minor_sums", "check_dominance_tensor", "require_admissible"):
+    for name in ("_components", "component_sums", "check_dominance_tensor", "require_admissible"):
         monkeypatch.setattr(taylor, name, work)
     with pytest.raises(ValueError, match=r"empty array of shape \(0, 0\)"):
         call(np.zeros((0, 0)))
@@ -332,10 +333,15 @@ def _within_bound(res, exact):
     return abs(cmath.exp(res.value) / exact - 1) <= math.expm1(res.error_bound) + 1e-12
 
 
+def _saving(sizes, d, m):
+    """The engine work that order m - 1 saves against order m, as the gate counts it."""
+    return charge(sizes, d, m) - charge(sizes, d, m - 1)
+
+
 def test_approx_scales_lambda_and_drops_the_order_above_the_gate():
     # on a dense n = 16 matrix, order 5 saves 185,144 engine steps against 6
     a = random_admissible_tensor(2, 16, 0.4, np.random.default_rng(1))
-    assert taylor._order_saving([16], 2, 6) >= taylor.BLOCK_ENTRIES
+    assert _saving([16], 2, 6) >= taylor.BLOCK_ENTRIES
     raw = check_dominance_tensor(a).effective_lambda
     assert choose_order(16, raw, 0.01) == 6
     res = approx_log_permanent(a, ApproxConfig(None, 0.01))
@@ -359,7 +365,7 @@ def test_approx_split_keeps_the_branch_of_a_winding_diagonal():
     a += 0.4 * cmath.exp(1j * math.acos(-0.4)) * np.eye(16)
     res = approx_log_permanent(a, ApproxConfig(None, 0.01))
     raw_m = choose_order(16, res.raw_lam, 0.01)
-    assert taylor._order_saving([16], 2, raw_m) >= taylor.BLOCK_ENTRIES
+    assert _saving([16], 2, raw_m) >= taylor.BLOCK_ENTRIES
     assert res.order_m < 6 < raw_m < 16
     assert _within_bound(res, permanent_ryser(np.eye(16) + a))
     unsplit = approx_log_permanent(a, ApproxConfig(None, 0.01, order_override=raw_m))
@@ -372,7 +378,7 @@ def test_approx_above_the_gate_keeps_the_raw_bytes_when_the_order_stays():
     # but no lambda of the split brings the exact tail at m = 2 within 0.01
     a = random_admissible_tensor(2, 100, 0.1, np.random.default_rng(11))
     raw = check_dominance_tensor(a).effective_lambda
-    assert taylor._order_saving([100], 2, 3) >= taylor.BLOCK_ENTRIES
+    assert _saving([100], 2, 3) >= taylor.BLOCK_ENTRIES
     res = approx_log_permanent(a, ApproxConfig(None, 0.01))
     forced = approx_log_permanent(a, ApproxConfig(None, 0.01, order_override=3))
     assert (res.order_m, res.lam, res.raw_lam) == (3, raw, raw)
@@ -383,7 +389,7 @@ def test_approx_above_the_gate_keeps_the_raw_bytes_when_the_order_stays():
 def test_approx_tensor_above_the_gate_within_bound():
     t = random_admissible_tensor(3, 6, 0.45, np.random.default_rng(70))
     raw = check_dominance_tensor(t).effective_lambda
-    assert taylor._order_saving([6], 3, choose_order(6, raw, 0.01)) >= taylor.BLOCK_ENTRIES
+    assert _saving([6], 3, choose_order(6, raw, 0.01)) >= taylor.BLOCK_ENTRIES
     res = approx_log_permanent(t, ApproxConfig(None, 0.01))
     assert res.lam < raw and res.error_bound == exact_tail_bound(6, res.lam, res.order_m)
     assert _within_bound(res, permanent_tensor(identity_tensor(3, 6) + t))
@@ -398,7 +404,7 @@ def test_approx_below_the_gate_keeps_the_raw_order_and_bound(d, n, lam):
     m = choose_order(n, raw, 0.01)
     forced = lam == 0.4
     cfg = ApproxConfig(None, 0.01, order_override=m if forced else None)
-    assert forced or taylor._order_saving([n], d, m) < taylor.BLOCK_ENTRIES
+    assert forced or _saving([n], d, m) < taylor.BLOCK_ENTRIES
     res = approx_log_permanent(a, cfg)
     assert (res.order_m, res.lam, res.raw_lam) == (m, raw, raw)
     assert res.error_bound == taylor_tail_bound(n, raw, m)
